@@ -2,11 +2,12 @@
 //!
 //! Runs one circuit three ways and demands identical artifacts:
 //!
-//! 1. the unbudgeted in-memory reference (setup + prove, no
-//!    `ZKPERF_MEM_BUDGET`),
-//! 2. the budgeted resident path (same entry points, budget set — setup
-//!    streams through a [`zkperf_groth16::MemorySink`], every prover MSM
-//!    chunks its bases) at each requested thread count,
+//! 1. the unbudgeted in-memory run (setup + prove, no
+//!    `ZKPERF_MEM_BUDGET`: every key query is one chunk),
+//! 2. the budgeted in-memory run (same entry points, budget set — setup
+//!    streams through a [`zkperf_groth16::MemorySink`] and every prover
+//!    MSM reads its bases in budget-sized chunks) at each requested
+//!    thread count,
 //! 3. the on-disk streamed pipeline (`setup_streamed` → streamed `.zkey`
 //!    file → `prove_streamed`), where the key is never resident in full.
 //!

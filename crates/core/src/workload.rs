@@ -165,7 +165,10 @@ impl From<lang::CompileError> for StageError {
 
 impl From<SetupError> for StageError {
     fn from(e: SetupError) -> Self {
-        StageError::Setup(e)
+        match e {
+            SetupError::Sink(e) => e.into(),
+            e => StageError::Setup(e),
+        }
     }
 }
 
@@ -177,7 +180,10 @@ impl From<WitnessError> for StageError {
 
 impl From<ProveError> for StageError {
     fn from(e: ProveError) -> Self {
-        StageError::Prove(e)
+        match e {
+            ProveError::Source(e) => e.into(),
+            e => StageError::Prove(e),
+        }
     }
 }
 
@@ -563,6 +569,25 @@ mod tests {
             }
         );
         assert_eq!(err.to_string(), "compile before setup");
+    }
+
+    #[test]
+    fn key_transport_failures_surface_as_artifact_errors() {
+        let located = zkperf_groth16::StreamError {
+            path: Some("pk.zks".into()),
+            offset: Some(4096),
+            detail: "section checksum mismatch".into(),
+        };
+        let expect = StageError::Artifact {
+            path: "pk.zks".into(),
+            detail: "section checksum mismatch (at byte offset 4096)".into(),
+        };
+        assert_eq!(StageError::from(ProveError::Source(located.clone())), expect);
+        assert_eq!(StageError::from(SetupError::Sink(located)), expect);
+        assert_eq!(
+            StageError::from(ProveError::Cancelled),
+            StageError::Prove(ProveError::Cancelled)
+        );
     }
 
     #[test]

@@ -47,10 +47,24 @@ pub struct FixedBaseTable<C: CurveParams> {
     window_bits: usize,
 }
 
-/// Scalars per [`FixedBaseTable::mul_batch`] gather chunk; bounds the flat
-/// gather buffer at `CHUNK · num_windows` points while keeping each batch
-/// inversion large enough to amortize.
+/// Most scalars per [`FixedBaseTable::mul_batch`] gather chunk; bounds the
+/// flat gather buffer at `CHUNK · num_windows` points while keeping each
+/// batch inversion large enough to amortize.
 const BATCH_CHUNK: usize = 2048;
+
+/// Fewest scalars per gather chunk once a batch is split: below this the
+/// chunk's batch inversions stop amortizing.
+const MIN_BATCH_CHUNK: usize = 512;
+
+/// Gather-chunk length for a batch of `n` scalars: batches longer than
+/// `MIN_BATCH_CHUNK` split into at least two chunks, so each
+/// Groth16 setup query (one batch per query) can fan out across the pool
+/// even below `BATCH_CHUNK` scalars. Depends only on `n`, never on the
+/// thread count; each scalar's affine result does not depend on the
+/// chunking anyway.
+fn batch_chunk_len(n: usize) -> usize {
+    n.div_ceil(2).clamp(MIN_BATCH_CHUNK, BATCH_CHUNK)
+}
 
 impl<C: CurveParams> FixedBaseTable<C> {
     /// Default window width (bits); 8 balances table size (~8K points for a
@@ -185,95 +199,67 @@ impl<C: CurveParams> FixedBaseTable<C> {
 
     /// Multiplies every scalar in `scalars`, returning affine results.
     ///
-    /// Works in chunks: each scalar's nonzero window entries are gathered
-    /// into a contiguous segment of a flat buffer, then all segments are
-    /// collapsed with one [`BatchAdder`] tree reduction (a handful of batch
-    /// inversions per chunk, shared across every scalar in it).
+    /// Works in chunks of `batch_chunk_len` scalars, each collapsed by
+    /// `mul_chunk`. Chunks are fully independent (private gather
+    /// buffers, disjoint `out` ranges), so uninstrumented multi-thread runs
+    /// hand them to the pool and everything else walks them in a plain
+    /// loop; each chunk computes the same bits either way.
     pub fn mul_batch(&self, scalars: &[C::Scalar]) -> Vec<Affine<C>> {
         let _g = trace::region_profile("fixed_base_msm");
-        let num_limbs = C::Scalar::NUM_LIMBS;
         let mut out = vec![Affine::identity(); scalars.len()];
-        // Chunks are fully independent (private gather buffers, disjoint
-        // `out` ranges), so uninstrumented multi-thread runs fan them out
-        // across the pool; each chunk computes exactly what the serial
-        // loop below computes for it, so results are bit-identical.
-        if !trace::is_active() && pool::current_threads() > 1 && scalars.len() > BATCH_CHUNK {
-            pool::parallel_chunks_mut(&mut out, BATCH_CHUNK, |chunk_idx, out_chunk| {
-                let chunk = &scalars[chunk_idx * BATCH_CHUNK..][..out_chunk.len()];
-                let mut gathered: Vec<Affine<C>> = Vec::new();
-                let mut segs: Vec<(usize, usize)> = Vec::with_capacity(chunk.len());
-                let mut limbs = vec![0u64; num_limbs];
-                let mut adder = BatchAdder::new();
-                let half = 1i64 << (self.window_bits - 1);
-                for s in chunk {
-                    s.write_canonical_limbs(&mut limbs);
-                    let start = gathered.len();
-                    let mut carry = 0usize;
-                    for (k, row) in self.windows.iter().enumerate() {
-                        let raw =
-                            extract(&limbs, k * self.window_bits, self.window_bits) + carry;
-                        let digit = if raw as i64 > half {
-                            carry = 1;
-                            raw as i64 - (1i64 << self.window_bits)
-                        } else {
-                            carry = 0;
-                            raw as i64
-                        };
-                        if digit > 0 {
-                            gathered.push(row[digit as usize - 1]);
-                        } else if digit < 0 {
-                            gathered.push(row[(-digit) as usize - 1].neg());
-                        }
-                    }
-                    segs.push((start, gathered.len() - start));
-                }
-                adder.reduce_segments(&mut gathered, &mut segs);
-                for (j, &(start, len)) in segs.iter().enumerate() {
-                    if len > 0 {
-                        out_chunk[j] = gathered[start];
-                    }
-                }
-            });
-            return out;
-        }
-        let mut gathered: Vec<Affine<C>> = Vec::new();
-        let mut segs: Vec<(usize, usize)> = Vec::with_capacity(BATCH_CHUNK);
-        let mut limbs = vec![0u64; num_limbs];
-        let mut adder = BatchAdder::new();
-        let half = 1i64 << (self.window_bits - 1);
-        for (chunk_idx, chunk) in scalars.chunks(BATCH_CHUNK).enumerate() {
-            gathered.clear();
-            segs.clear();
-            for s in chunk {
-                s.write_canonical_limbs(&mut limbs);
-                let start = gathered.len();
-                let mut carry = 0usize;
-                for (k, row) in self.windows.iter().enumerate() {
-                    let raw = extract(&limbs, k * self.window_bits, self.window_bits) + carry;
-                    let digit = if raw as i64 > half {
-                        carry = 1;
-                        raw as i64 - (1i64 << self.window_bits)
-                    } else {
-                        carry = 0;
-                        raw as i64
-                    };
-                    trace::branch(0x3101, digit != 0);
-                    if digit > 0 {
-                        gathered.push(row[digit as usize - 1]);
-                    } else if digit < 0 {
-                        gathered.push(row[(-digit) as usize - 1].neg());
-                    }
-                }
-                segs.push((start, gathered.len() - start));
-            }
-            adder.reduce_segments(&mut gathered, &mut segs);
-            for (j, &(start, len)) in segs.iter().enumerate() {
-                if len > 0 {
-                    out[chunk_idx * BATCH_CHUNK + j] = gathered[start];
-                }
+        let len = batch_chunk_len(scalars.len());
+        let chunk = |ci: usize, out: &mut [Affine<C>]| {
+            self.mul_chunk(&scalars[ci * len..][..out.len()], out)
+        };
+        if !trace::is_active() && pool::current_threads() > 1 && scalars.len() > len {
+            pool::parallel_chunks_mut(&mut out, len, chunk);
+        } else {
+            for (ci, out) in out.chunks_mut(len).enumerate() {
+                chunk(ci, out);
             }
         }
         out
+    }
+
+    /// The per-chunk pass of [`Self::mul_batch`]: each scalar's nonzero
+    /// window entries are gathered into a contiguous segment of a flat
+    /// buffer, then all segments are collapsed with one [`BatchAdder`]
+    /// tree reduction (a handful of batch inversions per chunk, shared
+    /// across every scalar in it). Zero scalars leave their `out` slot at
+    /// the identity.
+    fn mul_chunk(&self, scalars: &[C::Scalar], out: &mut [Affine<C>]) {
+        let mut gathered: Vec<Affine<C>> = Vec::new();
+        let mut segs: Vec<(usize, usize)> = Vec::with_capacity(scalars.len());
+        let mut limbs = vec![0u64; C::Scalar::NUM_LIMBS];
+        let half = 1i64 << (self.window_bits - 1);
+        for s in scalars {
+            s.write_canonical_limbs(&mut limbs);
+            let start = gathered.len();
+            let mut carry = 0usize;
+            for (k, row) in self.windows.iter().enumerate() {
+                let raw = extract(&limbs, k * self.window_bits, self.window_bits) + carry;
+                let digit = if raw as i64 > half {
+                    carry = 1;
+                    raw as i64 - (1i64 << self.window_bits)
+                } else {
+                    carry = 0;
+                    raw as i64
+                };
+                trace::branch(0x3101, digit != 0);
+                if digit > 0 {
+                    gathered.push(row[digit as usize - 1]);
+                } else if digit < 0 {
+                    gathered.push(row[(-digit) as usize - 1].neg());
+                }
+            }
+            segs.push((start, gathered.len() - start));
+        }
+        BatchAdder::new().reduce_segments(&mut gathered, &mut segs);
+        for (slot, &(start, len)) in out.iter_mut().zip(&segs) {
+            if len > 0 {
+                *slot = gathered[start];
+            }
+        }
     }
 }
 
@@ -345,18 +331,23 @@ mod tests {
         let g = G1Projective::generator();
         let table = FixedBaseTable::<G1Params>::new(&g);
         let mut rng = zkperf_ff::test_rng();
-        // Past the one-chunk gate, with an odd tail and edge scalars.
-        let n = BATCH_CHUNK * 2 + 173;
-        let mut scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-        scalars[0] = Fr::zero();
-        scalars[BATCH_CHUNK] = -Fr::one();
+        // A mid-size batch split in two, and one past the largest chunk,
+        // each with an odd tail and edge scalars.
+        for n in [MIN_BATCH_CHUNK * 2 + 37, BATCH_CHUNK * 2 + 173] {
+            let mut scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+            scalars[0] = Fr::zero();
+            scalars[n / 2] = -Fr::one();
 
-        zkperf_pool::set_threads(1);
-        let serial = table.mul_batch(&scalars);
-        zkperf_pool::set_threads(4);
-        let parallel = table.mul_batch(&scalars);
-        zkperf_pool::set_threads(1);
-        assert_eq!(serial, parallel);
+            zkperf_pool::set_threads(1);
+            let serial = table.mul_batch(&scalars);
+            zkperf_pool::set_threads(4);
+            let parallel = table.mul_batch(&scalars);
+            zkperf_pool::set_threads(1);
+            assert_eq!(serial, parallel, "n = {n}");
+            for i in [0, n / 2, n - 1] {
+                assert_eq!(serial[i], table.mul(&scalars[i]).to_affine(), "n = {n}, i = {i}");
+            }
+        }
     }
 
     #[test]

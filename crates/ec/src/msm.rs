@@ -4,8 +4,13 @@
 //! bucket accumulation produces the scattered memory traffic that the
 //! paper's memory analysis attributes to the proving stage.
 //!
-//! The fast path layers four classic optimizations on the textbook bucket
-//! method:
+//! There is one engine, [`msm_stream`]: the bases arrive as a sequence of
+//! chunks, each chunk runs the bucket pass below into per-window sums, and
+//! the sums fold into one accumulator that a single window combine
+//! finishes. The in-memory [`msm`] is the one-chunk case of it (plus a
+//! double-and-add shortcut for tiny inputs), and the out-of-core prover
+//! feeds it chunks read from disk. Each chunk layers four classic
+//! optimizations on the textbook bucket method:
 //!
 //! * **GLV decomposition.** On curves with the cube-root endomorphism
 //!   ([`CurveParams::glv_params`]), every 254-bit scalar splits into two
@@ -27,7 +32,9 @@
 //!
 //! Scalars are written once into one flat limb buffer
 //! ([`PrimeField::write_canonical_limbs`] or the GLV half-magnitudes), and
-//! windows past the scalar bit length are never visited.
+//! windows past the scalar bit length are never visited. Chunks past the
+//! parallel gate recode their rows and run their windows on the pool;
+//! smaller chunks run the same closures in a plain loop.
 //!
 //! [`msm_naive`] keeps the unoptimized reference semantics; the
 //! property-test suite cross-checks the two on both curves.
@@ -41,9 +48,12 @@ use crate::curve::{Affine, CurveParams, Projective};
 use crate::glv::{GlvParams, HALF_LIMBS};
 use crate::tuning;
 
-/// Smallest MSM worth fanning out across the pool; below this the
+/// Smallest MSM chunk worth fanning out across the pool; below this the
 /// per-window task overhead exceeds the bucket work.
 const PAR_MIN_MSM: usize = 1 << 10;
+
+/// Rows per pool task in the recoding passes.
+const ROW_GRAIN: usize = 512;
 
 /// Chooses the Pippenger window width (in bits) for `n` terms of
 /// `scalar_bits`-bit (possibly GLV-halved) scalars, via the shared
@@ -88,78 +98,42 @@ pub fn msm_naive<C: CurveParams>(bases: &[Affine<C>], scalars: &[C::Scalar]) -> 
 /// assert_eq!(msm(&bases, &scalars), expect);
 /// ```
 pub fn msm<C: CurveParams>(bases: &[Affine<C>], scalars: &[C::Scalar]) -> Projective<C> {
-    let _g = trace::region_profile("msm");
     let n = bases.len().min(scalars.len());
-    if n == 0 {
-        return Projective::identity();
-    }
     if n < 8 {
         // Naive double-and-add is faster at tiny sizes.
+        let _g = trace::region_profile("msm");
         return msm_naive(&bases[..n], &scalars[..n]);
     }
-    // Instrumented runs skip the GLV route (like the pool below): the
-    // characterization suite pins the plain serial op stream, and the
-    // one-time parameter derivation must never land inside a traced
-    // region, where its field ops would skew exactly one measurement.
-    if !trace::is_active() {
-        if let Some(glv) = C::glv_params() {
-            return msm_glv(&bases[..n], &scalars[..n], glv);
-        }
+    match msm_stream(n, [Ok::<_, std::convert::Infallible>(bases)], scalars) {
+        Ok(sum) => sum,
+        Err(never) => match never {},
     }
-    // Instrumented runs stay on the serial body so the characterization
-    // suite sees the exact same op stream; the parallel variant computes
-    // identical values (same decomposition, same reduction order), so
-    // results match bit-for-bit either way.
-    let use_pool = !trace::is_active() && pool::current_threads() > 1 && n >= PAR_MIN_MSM;
-
-    // One flat canonical-limb buffer for every scalar: no per-scalar Vec.
-    let num_limbs = C::Scalar::NUM_LIMBS;
-    let mut limbs = vec![0u64; n * num_limbs];
-    if use_pool {
-        const LIMB_GRAIN: usize = 1024;
-        pool::parallel_chunks_mut(&mut limbs, num_limbs * LIMB_GRAIN, |ci, chunk| {
-            let base = ci * LIMB_GRAIN;
-            for (j, row) in chunk.chunks_mut(num_limbs).enumerate() {
-                scalars[base + j].write_canonical_limbs(row);
-            }
-        });
-    } else {
-        for (i, s) in scalars[..n].iter().enumerate() {
-            s.write_canonical_limbs(&mut limbs[i * num_limbs..(i + 1) * num_limbs]);
-        }
-    }
-
-    let total_bits = C::Scalar::modulus_bits() as usize;
-    let c = window_bits::<C>(n, total_bits);
-    let sums = if use_pool {
-        pippenger_parallel(&bases[..n], &limbs, num_limbs, total_bits, c)
-    } else {
-        pippenger_serial(&bases[..n], &limbs, num_limbs, total_bits, c)
-    };
-    combine_windows(sums, c)
 }
 
 /// Computes `Σ scalarsᵢ · basesᵢ` with the base points arriving as a
-/// sequence of chunks instead of one resident slice — the out-of-core MSM
-/// entry point. `total` is the number of points the iterator will yield in
-/// aggregate (the window width is chosen once from the *total* problem
-/// size, exactly as [`msm`] would choose it, not per chunk).
+/// sequence of chunks — the MSM engine behind [`msm`] (one chunk) and the
+/// out-of-core prover (chunks read from disk). `total` is the number of
+/// points the iterator will yield in aggregate: the window width is chosen
+/// once from the *total* problem size, not per chunk.
 ///
-/// Each chunk runs the same signed-digit/GLV Pippenger kernel as the
-/// in-memory path (through `zkperf-pool` when the chunk clears the
-/// parallel gate) producing per-window partial sums, which are folded into
-/// a running per-window accumulator; one final window combine finishes the
-/// job. Scalars are consumed positionally: chunk `k` pairs with the next
-/// `chunk.len()` scalars.
+/// Each chunk runs the signed-digit/GLV Pippenger bucket pass (through
+/// `zkperf-pool` when the chunk clears the parallel gate) producing
+/// per-window partial sums, which are folded into a running per-window
+/// accumulator; one final window combine finishes the job. Scalars are
+/// consumed positionally: chunk `k` pairs with the next `chunk.len()`
+/// scalars. Instrumented runs (a live `zkperf-trace` session) take the
+/// plain full-width route on the calling thread, so the characterization
+/// suite sees one fixed op stream and the one-time GLV parameter
+/// derivation never lands inside a traced region.
 ///
 /// Determinism contract: for a fixed chunk sequence the result is
 /// bit-identical (including the projective representative) at any thread
-/// count, because the per-chunk kernels are and the fold order is the
-/// chunk order. Across *different* chunkings — including against [`msm`]
-/// itself — the result is the same group element and therefore identical
-/// after affine normalization (`to_affine`), which is the form every
-/// serialized artifact uses; only the internal projective representative
-/// may differ, since bucket sums associate differently.
+/// count, because the per-chunk passes are and the fold order is the
+/// chunk order. Across *different* chunkings the result is the same group
+/// element and therefore identical after affine normalization
+/// (`to_affine`), which is the form every serialized artifact uses; only
+/// the internal projective representative may differ, since bucket sums
+/// associate differently.
 ///
 /// The first chunk error aborts the fold and is returned as-is. Points
 /// yielded beyond `total` (or beyond the scalar count) are ignored.
@@ -178,14 +152,11 @@ where
     if n == 0 {
         return Ok(Projective::identity());
     }
-    let glv = if trace::is_active() { None } else { C::glv_params() };
-    // Window geometry fixed once from the total problem size, mirroring
-    // what msm() would pick for the same n fully resident.
+    let traced = trace::is_active();
+    let glv = if traced { None } else { C::glv_params() };
+    // Window geometry fixed once from the total problem size.
     let (total_bits, c) = match glv {
-        Some(g) => {
-            let bits = g.half_bits();
-            (bits, window_bits::<C>(2 * n, bits))
-        }
+        Some(g) => (g.half_bits(), window_bits::<C>(2 * n, g.half_bits())),
         None => {
             let bits = C::Scalar::modulus_bits() as usize;
             (bits, window_bits::<C>(n, bits))
@@ -205,12 +176,9 @@ where
         if take == 0 {
             continue;
         }
-        let pts = &pts[..take];
         let scs = &scalars[offset..offset + take];
-        let sums = match glv {
-            Some(g) => glv_window_sums(pts, scs, g, total_bits, c),
-            None => plain_window_sums(pts, scs, total_bits, c),
-        };
+        let use_pool = !traced && pool::current_threads() > 1 && take >= PAR_MIN_MSM;
+        let sums = window_sums(&pts[..take], scs, glv, total_bits, c, use_pool);
         for (a, s) in acc.iter_mut().zip(sums) {
             *a += s;
         }
@@ -219,149 +187,106 @@ where
     Ok(combine_windows(acc, c))
 }
 
-/// Per-chunk window sums for the non-GLV route: canonical-limb recoding of
-/// `scalars` followed by the Pippenger bucket body at the caller-fixed
-/// window width `c`.
-fn plain_window_sums<C: CurveParams>(
-    bases: &[Affine<C>],
-    scalars: &[C::Scalar],
-    total_bits: usize,
-    c: usize,
-) -> Vec<Projective<C>> {
-    let n = bases.len();
-    let use_pool = !trace::is_active() && pool::current_threads() > 1 && n >= PAR_MIN_MSM;
-    let num_limbs = C::Scalar::NUM_LIMBS;
-    let mut limbs = vec![0u64; n * num_limbs];
+/// Runs `row(i, &mut buf[i·stride..(i+1)·stride])` for every row — on the
+/// pool in tasks of `ROW_GRAIN` rows when `use_pool`, otherwise in a plain
+/// loop. Rows only write their own slots, so both compute the same bits.
+fn for_each_row<T: Send>(
+    buf: &mut [T],
+    stride: usize,
+    use_pool: bool,
+    row: impl Fn(usize, &mut [T]) + Sync,
+) {
     if use_pool {
-        const LIMB_GRAIN: usize = 1024;
-        pool::parallel_chunks_mut(&mut limbs, num_limbs * LIMB_GRAIN, |ci, chunk| {
-            let base = ci * LIMB_GRAIN;
-            for (j, row) in chunk.chunks_mut(num_limbs).enumerate() {
-                scalars[base + j].write_canonical_limbs(row);
+        pool::parallel_chunks_mut(buf, stride * ROW_GRAIN, |ci, rows| {
+            for (j, r) in rows.chunks_mut(stride).enumerate() {
+                row(ci * ROW_GRAIN + j, r);
             }
         });
     } else {
-        for (i, s) in scalars[..n].iter().enumerate() {
-            s.write_canonical_limbs(&mut limbs[i * num_limbs..(i + 1) * num_limbs]);
+        for (i, r) in buf.chunks_mut(stride).enumerate() {
+            row(i, r);
         }
     }
-    if use_pool {
-        pippenger_parallel(bases, &limbs, num_limbs, total_bits, c)
-    } else {
-        pippenger_serial(bases, &limbs, num_limbs, total_bits, c)
-    }
 }
 
-/// The GLV front end: decomposes every scalar into two signed half-width
-/// components and hands Pippenger a `2n`-point problem at half the bit
-/// length. Signs are folded into the base points (`−k·P = k·(−P)`), so the
-/// bucket machinery below never sees them.
-fn msm_glv<C: CurveParams>(
+/// Per-chunk window sums at the caller-fixed window width `c`: recodes the
+/// chunk's scalars into one flat limb buffer and runs the bucket pass.
+///
+/// Without GLV the rows are the canonical scalar limbs. With GLV every
+/// scalar splits into two signed half-width components, giving a `2n`-point
+/// problem `[±P_i | ±φ(P_i)]` at half the bit length; the signs are folded
+/// into the points (`−k·P = k·(−P)`), so the bucket pass never sees them.
+fn window_sums<C: CurveParams>(
     bases: &[Affine<C>],
     scalars: &[C::Scalar],
-    glv: &GlvParams<C>,
-) -> Projective<C> {
-    let total_bits = glv.half_bits();
-    let c = window_bits::<C>(2 * bases.len(), total_bits);
-    combine_windows(glv_window_sums(bases, scalars, glv, total_bits, c), c)
-}
-
-/// Per-chunk window sums for the GLV route: decomposes the chunk's scalars
-/// into signed half-width components, builds the `[±P_i | ±φ(P_i)]`
-/// 2n-point problem, and runs the Pippenger bucket body at the
-/// caller-fixed window width `c`.
-fn glv_window_sums<C: CurveParams>(
-    bases: &[Affine<C>],
-    scalars: &[C::Scalar],
-    glv: &GlvParams<C>,
+    glv: Option<&GlvParams<C>>,
     total_bits: usize,
     c: usize,
+    use_pool: bool,
 ) -> Vec<Projective<C>> {
     let n = bases.len();
-    let use_pool = !trace::is_active() && pool::current_threads() > 1 && n >= PAR_MIN_MSM;
-    const GLV_GRAIN: usize = 512;
+    let Some(glv) = glv else {
+        let stride = C::Scalar::NUM_LIMBS;
+        let mut limbs = vec![0u64; n * stride];
+        for_each_row(&mut limbs, stride, use_pool, |i, row| {
+            scalars[i].write_canonical_limbs(row)
+        });
+        return pippenger(bases, &limbs, stride, total_bits, c, use_pool);
+    };
 
     // Decompose every scalar once; the splits are pure per-index functions
     // of the inputs, so the parallel fill is bit-identical to a serial one.
     let mut decomposed = vec![crate::glv::DecomposedScalar::default(); n];
-    if use_pool {
-        pool::parallel_fill(&mut decomposed, GLV_GRAIN, |i| glv.decompose(&scalars[i]));
-    } else {
-        for (d, s) in decomposed.iter_mut().zip(scalars) {
-            *d = glv.decompose(s);
-        }
-    }
-
-    // 2n-point problem: [±P_i | ±φ(P_i)] with the component signs folded
-    // into the points, and one flat half-magnitude row per point.
+    for_each_row(&mut decomposed, 1, use_pool, |i, d| {
+        d[0] = glv.decompose(&scalars[i])
+    });
     let mut points = vec![Affine::identity(); 2 * n];
-    let mut limbs = vec![0u64; 2 * n * HALF_LIMBS];
-    {
-        let (p1, p2) = points.split_at_mut(n);
-        let (l1, l2) = limbs.split_at_mut(n * HALF_LIMBS);
-        let fill_half = |ps: &mut [Affine<C>], ls: &mut [u64], second: bool| {
-            let point_at = |i: usize| {
-                let d = &decomposed[i];
-                if second {
-                    let endo = glv.endo(&bases[i]);
-                    if d.k2.neg {
-                        endo.neg()
-                    } else {
-                        endo
-                    }
-                } else if d.k1.neg {
-                    bases[i].neg()
-                } else {
-                    bases[i]
-                }
-            };
-            let limbs_at = |i: usize| {
-                let d = &decomposed[i];
-                if second {
-                    d.k2.limbs
-                } else {
-                    d.k1.limbs
-                }
-            };
-            if use_pool {
-                pool::parallel_fill(ps, GLV_GRAIN, point_at);
-                pool::parallel_chunks_mut(ls, HALF_LIMBS * GLV_GRAIN, |ci, chunk| {
-                    let base = ci * GLV_GRAIN;
-                    for (j, row) in chunk.chunks_mut(HALF_LIMBS).enumerate() {
-                        row.copy_from_slice(&limbs_at(base + j));
-                    }
-                });
+    for_each_row(&mut points, 1, use_pool, |i, p| {
+        p[0] = if i < n {
+            let b = bases[i];
+            if decomposed[i].k1.neg {
+                b.neg()
             } else {
-                for (i, p) in ps.iter_mut().enumerate() {
-                    *p = point_at(i);
-                }
-                for (i, row) in ls.chunks_mut(HALF_LIMBS).enumerate() {
-                    row.copy_from_slice(&limbs_at(i));
-                }
+                b
+            }
+        } else {
+            let endo = glv.endo(&bases[i - n]);
+            if decomposed[i - n].k2.neg {
+                endo.neg()
+            } else {
+                endo
             }
         };
-        fill_half(p1, l1, false);
-        fill_half(p2, l2, true);
-    }
-
-    if use_pool {
-        pippenger_parallel(&points, &limbs, HALF_LIMBS, total_bits, c)
-    } else {
-        pippenger_serial(&points, &limbs, HALF_LIMBS, total_bits, c)
-    }
+    });
+    let mut limbs = vec![0u64; 2 * n * HALF_LIMBS];
+    for_each_row(&mut limbs, HALF_LIMBS, use_pool, |i, row| {
+        let half = if i < n { &decomposed[i].k1 } else { &decomposed[i - n].k2 };
+        row.copy_from_slice(&half.limbs);
+    });
+    pippenger(&points, &limbs, HALF_LIMBS, total_bits, c, use_pool)
 }
 
-/// The serial Pippenger body over a prepared point array and flat unsigned
+/// The Pippenger bucket pass over a prepared point array and flat unsigned
 /// limb buffer (`stride` limbs per point, digits meaningful up to
-/// `total_bits`). Returns the per-window bucket sums so callers can either
-/// combine them directly ([`combine_windows`]) or fold them into a
-/// streaming accumulator ([`msm_stream`]).
-fn pippenger_serial<C: CurveParams>(
+/// `total_bits`). Returns the per-window bucket sums, which
+/// [`msm_stream`] folds across chunks and combines once.
+///
+/// Two phases, each a closure over independent index-addressed slots:
+///
+/// 1. signed-digit recoding per point, laid out row-major
+///    (`digits[i·W + w]`) so each point's cross-window carry chain stays in
+///    its own row;
+/// 2. one bucket accumulation per window, with private scratch buffers.
+///
+/// `use_pool` only decides whether the pool or a plain loop iterates the
+/// rows and windows, so the result is bit-identical at any thread count.
+fn pippenger<C: CurveParams>(
     points: &[Affine<C>],
     limbs: &[u64],
     stride: usize,
     total_bits: usize,
     c: usize,
+    use_pool: bool,
 ) -> Vec<Projective<C>> {
     let n = points.len();
     // Magnitudes stay below 2^total_bits; the +1 leaves room for the final
@@ -369,155 +294,66 @@ fn pippenger_serial<C: CurveParams>(
     let num_windows = (total_bits + 1).div_ceil(c);
     let half = 1usize << (c - 1); // signed digits: buckets 1..=2^(c-1)
 
-    let mut carries = vec![0u8; n];
-    let mut digits = vec![0i32; n];
-    let mut counts = vec![0u32; half];
-    let mut segs: Vec<(usize, usize)> = Vec::with_capacity(half);
-    let mut sorted: Vec<Affine<C>> = vec![Affine::identity(); n];
-    let mut adder = BatchAdder::new();
-
-    let mut window_sums = Vec::with_capacity(num_windows);
-    for w in 0..num_windows {
-        // Signed-digit extraction with carry propagation from the previous
-        // window: raw ∈ [0, 2^c]; anything above 2^(c-1) wraps negative.
-        counts.fill(0);
-        for i in 0..n {
-            let window = &limbs[i * stride..(i + 1) * stride];
-            let raw = extract_bits(window, w * c, c) + carries[i] as usize;
-            let digit = if raw > half {
-                carries[i] = 1;
-                raw as i64 - (1i64 << c)
+    // Phase 1: raw ∈ [0, 2^c] after the carry from the previous window;
+    // anything above 2^(c-1) wraps negative. Identity points keep an
+    // all-zero row.
+    let mut digits = vec![0i32; n * num_windows];
+    for_each_row(&mut digits, num_windows, use_pool, |i, row| {
+        if points[i].infinity {
+            return;
+        }
+        let window = &limbs[i * stride..(i + 1) * stride];
+        let mut carry = 0usize;
+        for (w, d) in row.iter_mut().enumerate() {
+            let raw = extract_bits(window, w * c, c) + carry;
+            *d = if raw > half {
+                carry = 1;
+                (raw as i64 - (1i64 << c)) as i32
             } else {
-                carries[i] = 0;
-                raw as i64
+                carry = 0;
+                raw as i32
             };
-            let digit = if points[i].infinity { 0 } else { digit as i32 };
-            digits[i] = digit;
-            trace::branch(0x3001, digit != 0);
-            if digit != 0 {
-                counts[digit.unsigned_abs() as usize - 1] += 1;
+        }
+    });
+
+    // Phase 2: counting sort into per-bucket segments, shared-inversion
+    // bucket sums, then the running-sum reduction Σ j·bucket[j].
+    let window_sum = |w: usize, scratch: &mut BucketScratch<C>| {
+        let digit = |i: usize| digits[i * num_windows + w];
+        let BucketScratch { counts, segs, sorted, adder } = scratch;
+        counts.clear();
+        counts.resize(half, 0);
+        for i in 0..n {
+            let d = digit(i);
+            trace::branch(0x3001, d != 0);
+            if d != 0 {
+                counts[d.unsigned_abs() as usize - 1] += 1;
             }
         }
-
-        // Counting sort into per-bucket segments of the flat scratch buffer.
         segs.clear();
+        segs.reserve(half);
         let mut start = 0usize;
         for &count in counts.iter() {
             segs.push((start, 0));
             start += count as usize;
         }
-        for i in 0..n {
-            let d = digits[i];
+        // Every slot below `start` is written exactly once below, so stale
+        // contents from an earlier window never survive.
+        if sorted.len() < start {
+            sorted.resize(start, Affine::identity());
+        }
+        for (i, p) in points.iter().enumerate() {
+            let d = digit(i);
             if d == 0 {
                 continue;
             }
             let (seg_start, seg_len) = &mut segs[d.unsigned_abs() as usize - 1];
             // Scattered write into the bucket segment: the address stream
             // the memory analysis cares about.
-            sorted[*seg_start + *seg_len] = if d < 0 { points[i].neg() } else { points[i] };
+            sorted[*seg_start + *seg_len] = if d < 0 { p.neg() } else { *p };
             *seg_len += 1;
         }
-
-        // Each bucket collapses to its sum via shared-inversion affine adds.
-        adder.reduce_segments(&mut sorted, &mut segs);
-
-        // Running-sum reduction: Σ j·bucket[j] with 2·#buckets additions.
-        let mut running = Projective::identity();
-        let mut sum = Projective::identity();
-        for &(seg_start, seg_len) in segs.iter().rev() {
-            if seg_len > 0 {
-                running = running.add_mixed(&sorted[seg_start]);
-            }
-            sum += running;
-        }
-        window_sums.push(sum);
-    }
-
-    window_sums
-}
-
-/// Window-parallel Pippenger: the same bucket method as
-/// [`pippenger_serial`], decomposed into one independent task per window.
-///
-/// Three phases:
-///
-/// 1. signed-digit recoding, chunked over *points* (each row's carry chain
-///    is local, so rows recode independently);
-/// 2. bucket accumulation, one task per *window*, each writing its
-///    index-addressed `window_sums` slot with private scratch buffers
-///    (the caller finishes with the serial top-down window combine).
-///
-/// The decomposition depends only on `n`, and every task writes only
-/// index-addressed slots, so the result is bit-identical to the serial
-/// body at any thread count.
-fn pippenger_parallel<C: CurveParams>(
-    points: &[Affine<C>],
-    limbs: &[u64],
-    stride: usize,
-    total_bits: usize,
-    c: usize,
-) -> Vec<Projective<C>> {
-    let n = points.len();
-    let num_windows = (total_bits + 1).div_ceil(c);
-    let half = 1usize << (c - 1);
-
-    // Phase 1: digits laid out row-major (`digits[i·W + w]`) so each
-    // point's recoding — including its cross-window carry chain — lands in
-    // one contiguous row and rows chunk cleanly.
-    const DIGIT_GRAIN: usize = 512;
-    let mut digits = vec![0i32; n * num_windows];
-    pool::parallel_chunks_mut(&mut digits, num_windows * DIGIT_GRAIN, |ci, rows| {
-        let base = ci * DIGIT_GRAIN;
-        for (j, row) in rows.chunks_mut(num_windows).enumerate() {
-            let i = base + j;
-            if points[i].infinity {
-                continue; // row stays zero, matching the serial force-to-0
-            }
-            let window = &limbs[i * stride..(i + 1) * stride];
-            let mut carry = 0usize;
-            for (w, d) in row.iter_mut().enumerate() {
-                let raw = extract_bits(window, w * c, c) + carry;
-                *d = if raw > half {
-                    carry = 1;
-                    (raw as i64 - (1i64 << c)) as i32
-                } else {
-                    carry = 0;
-                    raw as i32
-                };
-            }
-        }
-    });
-
-    // Phase 2: per-window bucket accumulation, mirroring the serial body's
-    // counting sort and running-sum reduction exactly (same scan order ⇒
-    // same segment contents ⇒ same field operations).
-    let mut window_sums = vec![Projective::identity(); num_windows];
-    pool::parallel_fill(&mut window_sums, 1, |w| {
-        let mut counts = vec![0u32; half];
-        for i in 0..n {
-            let d = digits[i * num_windows + w];
-            if d != 0 {
-                counts[d.unsigned_abs() as usize - 1] += 1;
-            }
-        }
-        let mut segs: Vec<(usize, usize)> = Vec::with_capacity(half);
-        let mut start = 0usize;
-        for &count in counts.iter() {
-            segs.push((start, 0));
-            start += count as usize;
-        }
-        let mut sorted: Vec<Affine<C>> = vec![Affine::identity(); start];
-        for i in 0..n {
-            let d = digits[i * num_windows + w];
-            if d == 0 {
-                continue;
-            }
-            let (seg_start, seg_len) = &mut segs[d.unsigned_abs() as usize - 1];
-            sorted[*seg_start + *seg_len] = if d < 0 { points[i].neg() } else { points[i] };
-            *seg_len += 1;
-        }
-        let mut adder = BatchAdder::new();
-        adder.reduce_segments(&mut sorted, &mut segs);
+        adder.reduce_segments(&mut sorted[..start], segs);
         let mut running = Projective::identity();
         let mut sum = Projective::identity();
         for &(seg_start, seg_len) in segs.iter().rev() {
@@ -527,9 +363,37 @@ fn pippenger_parallel<C: CurveParams>(
             sum += running;
         }
         sum
-    });
-
+    };
+    let mut window_sums = vec![Projective::identity(); num_windows];
+    if use_pool {
+        pool::parallel_fill(&mut window_sums, 1, |w| window_sum(w, &mut BucketScratch::default()));
+    } else {
+        let mut scratch = BucketScratch::default();
+        for (w, slot) in window_sums.iter_mut().enumerate() {
+            *slot = window_sum(w, &mut scratch);
+        }
+    }
     window_sums
+}
+
+/// Per-window working buffers of the bucket pass; a plain loop over the
+/// windows reuses one set, pool tasks each own theirs.
+struct BucketScratch<C: CurveParams> {
+    counts: Vec<u32>,
+    segs: Vec<(usize, usize)>,
+    sorted: Vec<Affine<C>>,
+    adder: BatchAdder<C>,
+}
+
+impl<C: CurveParams> Default for BucketScratch<C> {
+    fn default() -> Self {
+        BucketScratch {
+            counts: Vec::new(),
+            segs: Vec::new(),
+            sorted: Vec::new(),
+            adder: BatchAdder::new(),
+        }
+    }
 }
 
 /// Combines per-window sums from the top down: `acc = acc·2^c + window`.
@@ -788,7 +652,9 @@ mod tests {
     #[test]
     fn glv_msm_matches_plain_pippenger() {
         // Run the same inputs through the GLV front end and the plain
-        // full-width body; both must agree with the naive reference.
+        // full-width recoding, serially and on the pool; every route must
+        // agree with the naive reference.
+        let _lock = crate::TEST_POOL_LOCK.lock().unwrap();
         let mut rng = zkperf_ff::test_rng();
         let n = 64;
         let bases: Vec<G1Affine> = (0..n)
@@ -797,20 +663,25 @@ mod tests {
         let mut scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
         scalars[0] = Fr::zero();
         scalars[1] = -Fr::one();
-        let glv = crate::bn254::G1Params::glv_params().expect("BN254 G1 has GLV");
-        let via_glv = msm_glv(&bases, &scalars, glv);
-        let num_limbs = Fr::NUM_LIMBS;
-        let mut limbs = vec![0u64; n * num_limbs];
-        for (i, s) in scalars.iter().enumerate() {
-            s.write_canonical_limbs(&mut limbs[i * num_limbs..(i + 1) * num_limbs]);
-        }
-        let c = window_bits::<crate::bn254::G1Params>(n, Fr::modulus_bits() as usize);
-        let plain = combine_windows(
-            pippenger_serial(&bases, &limbs, num_limbs, Fr::modulus_bits() as usize, c),
-            c,
-        );
+        type G1 = crate::bn254::G1Params;
+        let glv = G1::glv_params().expect("BN254 G1 has GLV");
+        let route = |glv: Option<&GlvParams<G1>>, use_pool: bool| {
+            let (bits, c) = match glv {
+                Some(g) => (g.half_bits(), window_bits::<G1>(2 * n, g.half_bits())),
+                None => {
+                    let bits = Fr::modulus_bits() as usize;
+                    (bits, window_bits::<G1>(n, bits))
+                }
+            };
+            combine_windows(window_sums(&bases, &scalars, glv, bits, c, use_pool), c)
+        };
         let naive = msm_naive(&bases, &scalars);
-        assert_eq!(via_glv, naive);
-        assert_eq!(plain, naive);
+        pool::set_threads(2);
+        for use_pool in [false, true] {
+            assert_eq!(route(Some(glv), use_pool), naive, "GLV, pool = {use_pool}");
+            assert_eq!(route(None, use_pool), naive, "plain, pool = {use_pool}");
+        }
+        pool::set_threads(1);
+        assert_eq!(msm(&bases, &scalars), naive);
     }
 }

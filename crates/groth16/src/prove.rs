@@ -3,15 +3,17 @@
 use rand::Rng;
 
 use zkperf_circuit::{R1cs, Witness};
-use zkperf_ec::{Engine, Projective};
+use zkperf_ec::{msm_stream, Engine, Projective};
 use zkperf_ff::Field;
 use zkperf_poly::Radix2Domain;
+use zkperf_pool as pool;
 use zkperf_trace as trace;
 
 use crate::key::{Proof, ProvingKey};
 use crate::qap;
+use crate::stream::{ChunkedKey, G1Query, QuerySource, StreamError};
 
-/// Errors from [`prove`].
+/// Errors from [`prove`] and [`prove_streamed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProveError {
     /// The witness length does not match the proving key's wire count.
@@ -40,6 +42,9 @@ pub enum ProveError {
     /// The ambient [`zkperf_pool::CancelToken`] was cancelled or its
     /// deadline expired; the proof was abandoned at a stage boundary.
     Cancelled,
+    /// The [`QuerySource`] serving the key failed (disk, checksum,
+    /// truncation); carries the artifact path and byte offset when known.
+    Source(StreamError),
 }
 
 impl std::fmt::Display for ProveError {
@@ -57,11 +62,18 @@ impl std::fmt::Display for ProveError {
             ),
             ProveError::MalformedKey(what) => write!(f, "malformed proving key: {what}"),
             ProveError::Cancelled => write!(f, "proving cancelled by caller or deadline"),
+            ProveError::Source(e) => write!(f, "streamed key source: {e}"),
         }
     }
 }
 
 impl std::error::Error for ProveError {}
+
+impl From<StreamError> for ProveError {
+    fn from(e: StreamError) -> ProveError {
+        ProveError::Source(e)
+    }
+}
 
 /// Produces a Groth16 proof for `witness` under `pk`.
 ///
@@ -70,6 +82,11 @@ impl std::error::Error for ProveError {}
 /// the H query, and the L-query MSM — the mix of scattered (MSM buckets)
 /// and strided (NTT) memory traffic that gives the proving stage the
 /// highest memory bandwidth in the paper's Table III.
+///
+/// This is [`prove_streamed`] over the resident key: each query is one
+/// chunk lent straight from `pk`, or, under `ZKPERF_MEM_BUDGET`, the
+/// per-group chunk size the budget allows. The proof is byte-identical at
+/// any chunk size.
 ///
 /// # Errors
 ///
@@ -90,11 +107,30 @@ pub fn prove<E: Engine, R: Rng + ?Sized>(
     witness: &Witness<E::Fr>,
     rng: &mut R,
 ) -> Result<Proof<E>, ProveError> {
+    prove_streamed(&ChunkedKey::resident(pk), r1cs, witness, rng)
+}
+
+/// Produces a Groth16 proof with the key arriving through `src` chunk by
+/// chunk — the one prove body, behind [`prove`] and the out-of-core
+/// prover alike. All five query MSMs run through the chunked MSM engine,
+/// and the proof normalizes to affine form before leaving, so the bytes
+/// do not depend on the source or its chunk size.
+///
+/// # Errors
+///
+/// As [`prove`], plus [`ProveError::Source`] when `src` fails.
+pub fn prove_streamed<E: Engine, S: QuerySource<E>, R: Rng + ?Sized>(
+    src: &S,
+    r1cs: &R1cs<E::Fr>,
+    witness: &Witness<E::Fr>,
+    rng: &mut R,
+) -> Result<Proof<E>, ProveError> {
     let _g = trace::region_profile("prove");
+    let header = src.header();
     let w = witness.full();
-    if w.len() != pk.a_query.len() {
+    if w.len() != header.num_wires {
         return Err(ProveError::WitnessLengthMismatch {
-            expected: pk.a_query.len(),
+            expected: header.num_wires,
             got: w.len(),
         });
     }
@@ -104,12 +140,12 @@ pub fn prove<E: Engine, R: Rng + ?Sized>(
             got: w.len(),
         });
     }
-    if pk.num_public_wires > w.len() {
+    if header.num_public_wires > w.len() {
         return Err(ProveError::MalformedKey("public wires exceed witness length"));
     }
-    let domain = Radix2Domain::<E::Fr>::new(pk.domain_size).ok_or(ProveError::InvalidDomain {
-        size: pk.domain_size,
-    })?;
+    let domain = Radix2Domain::<E::Fr>::new(header.domain_size).ok_or(
+        ProveError::InvalidDomain { size: header.domain_size },
+    )?;
     if domain.size() < r1cs.num_constraints() {
         return Err(ProveError::DomainTooSmall {
             domain: domain.size(),
@@ -117,7 +153,7 @@ pub fn prove<E: Engine, R: Rng + ?Sized>(
         });
     }
 
-    if zkperf_pool::cancellation_pending() {
+    if pool::cancellation_pending() {
         return Err(ProveError::Cancelled);
     }
 
@@ -125,40 +161,40 @@ pub fn prove<E: Engine, R: Rng + ?Sized>(
     let (a_ev, b_ev, c_ev) = qap::evaluate_constraints(r1cs, &domain, w);
     let h = qap::compute_h_coefficients(&domain, a_ev, b_ev, c_ev);
 
-    if zkperf_pool::cancellation_pending() {
+    if pool::cancellation_pending() {
         return Err(ProveError::Cancelled);
     }
 
     let (r, s) = (E::Fr::random(rng), E::Fr::random(rng));
-
-    // Every query MSM routes through the ZKPERF_MEM_BUDGET gate: under a
-    // budget the bases stream in chunks (bounding the GLV/limb transient
-    // tables), unbudgeted they take the resident kernel; same group
-    // elements, and the proof normalizes to affine below, so proof bytes
-    // are identical either way.
-    use crate::stream::msm_budgeted as msm;
+    let fixed = src.fixed()?;
+    let g1 = |q: G1Query, scalars: &[E::Fr]| {
+        msm_stream(header.g1_len(q), src.g1_chunks(q), scalars)
+    };
 
     // A = α + Σ wᵢ·uᵢ(τ) + r·δ
-    let g_a = pk.vk.alpha_g1.to_projective()
-        + msm(&pk.a_query, w)
-        + pk.delta_g1.to_projective() * r;
+    let g_a = fixed.vk.alpha_g1.to_projective()
+        + g1(G1Query::A, w)?
+        + fixed.delta_g1.to_projective() * r;
     // B = β + Σ wᵢ·vᵢ(τ) + s·δ (in G2, and mirrored in G1 for C).
-    let g_b = pk.vk.beta_g2.to_projective()
-        + msm(&pk.b_g2_query, w)
-        + pk.vk.delta_g2.to_projective() * s;
-    let g_b1 = pk.beta_g1.to_projective()
-        + msm(&pk.b_g1_query, w)
-        + pk.delta_g1.to_projective() * s;
+    let g_b = fixed.vk.beta_g2.to_projective()
+        + msm_stream(header.g2_len(), src.g2_chunks(), w)?
+        + fixed.vk.delta_g2.to_projective() * s;
+    let g_b1 = fixed.beta_g1.to_projective()
+        + g1(G1Query::BG1, w)?
+        + fixed.delta_g1.to_projective() * s;
 
-    if zkperf_pool::cancellation_pending() {
+    if pool::cancellation_pending() {
         return Err(ProveError::Cancelled);
     }
 
     // C = Σ_{priv} wᵢ·Lᵢ + Σ hᵢ·Hᵢ + s·A + r·B₁ − r·s·δ
-    let priv_witness = &w[pk.num_public_wires..];
-    let l_part = msm(&pk.l_query, priv_witness);
-    let h_part = msm(&pk.h_query, &h);
-    let g_c = l_part + h_part + g_a * s + g_b1 * r + (pk.delta_g1.to_projective() * (r * s)).neg();
+    let l_part = g1(G1Query::L, &w[header.num_public_wires..])?;
+    let h_part = g1(G1Query::H, &h)?;
+    let g_c = l_part
+        + h_part
+        + g_a * s
+        + g_b1 * r
+        + (fixed.delta_g1.to_projective() * (r * s)).neg();
 
     let out = [g_a, g_c];
     let affine = Projective::batch_to_affine(&out);

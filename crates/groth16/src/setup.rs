@@ -9,16 +9,19 @@ use zkperf_poly::Radix2Domain;
 use zkperf_pool as pool;
 use zkperf_trace as trace;
 
+use crate::key::{ProvingKey, VerifyingKey};
+use crate::qap;
+use crate::stream::{
+    budget_chunk, FixedParts, G1Query, MemorySink, QuerySink, StreamError, StreamHeader,
+};
+
 /// Smallest scalar batch worth constructing on the pool.
 const PAR_MIN_SCALARS: usize = 1 << 12;
 
 /// Scalars per pool task when building the query batches.
 const SCALAR_GRAIN: usize = 1 << 11;
 
-use crate::key::{ProvingKey, VerifyingKey};
-use crate::qap;
-
-/// Errors from [`setup`].
+/// Errors from [`setup`] and [`setup_streamed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SetupError {
     /// The constraint count exceeds the scalar field's 2-adic domain.
@@ -29,6 +32,9 @@ pub enum SetupError {
     /// The ambient [`zkperf_pool::CancelToken`] was cancelled or its
     /// deadline expired; setup was abandoned at a stage boundary.
     Cancelled,
+    /// The [`QuerySink`] receiving the key failed (disk, checksum), or
+    /// finished without a complete key.
+    Sink(StreamError),
 }
 
 impl std::fmt::Display for SetupError {
@@ -38,11 +44,18 @@ impl std::fmt::Display for SetupError {
                 write!(f, "circuit with {constraints} constraints exceeds the FFT domain")
             }
             SetupError::Cancelled => write!(f, "setup cancelled by caller or deadline"),
+            SetupError::Sink(e) => write!(f, "streamed key sink: {e}"),
         }
     }
 }
 
 impl std::error::Error for SetupError {}
+
+impl From<StreamError> for SetupError {
+    fn from(e: StreamError) -> SetupError {
+        SetupError::Sink(e)
+    }
+}
 
 /// Runs the Groth16 trusted setup over `r1cs`, producing the proving and
 /// verification keys.
@@ -50,6 +63,10 @@ impl std::error::Error for SetupError {}
 /// The toxic waste `(τ, α, β, γ, δ)` is sampled from `rng` and dropped on
 /// return. Dominated by fixed-base multi-exponentiation — this is the
 /// paper's most time-consuming stage (76.1% of total execution time).
+///
+/// This is [`setup_streamed`] into a [`MemorySink`]: each query is one
+/// chunk, or, under `ZKPERF_MEM_BUDGET`, the chunk size the budget allows
+/// for G1 points. The key is byte-identical at any chunk size.
 ///
 /// # Errors
 ///
@@ -59,42 +76,34 @@ pub fn setup<E: Engine, R: Rng + ?Sized>(
     r1cs: &R1cs<E::Fr>,
     rng: &mut R,
 ) -> Result<ProvingKey<E>, SetupError> {
-    // Under a memory budget the fixed-base passes run chunked through the
-    // QuerySink machinery instead of one concatenated batch — identical
-    // RNG draws and field values (the scalar phase below is shared), and
-    // affine points are canonical per group element, so the key is
-    // byte-identical either way. Instrumented runs stay on this body so
-    // the characterization op stream is unchanged.
-    if !trace::is_active() && pool::mem::budget().is_some() {
-        return crate::stream::setup_budgeted(r1cs, rng);
-    }
-    let _g = trace::region_profile("setup");
-    let scalars = setup_scalars::<E, R>(r1cs, rng)?;
-    build_key_monolithic(r1cs, scalars)
+    let mut sink = MemorySink::<E>::new();
+    setup_streamed(r1cs, rng, budget_chunk::<E::G1>(), &mut sink)?;
+    sink.into_proving_key()
+        .ok_or_else(|| StreamError::msg("memory sink finished without a complete key").into())
 }
 
-/// Everything [`setup`] does before any group operation: domain
-/// construction, toxic-waste sampling, and the per-query scalar batches.
-/// Shared verbatim by the monolithic and streamed key builders so both
-/// consume identical RNG draws and produce identical field values.
-pub(crate) struct SetupScalars<E: Engine> {
-    pub domain: Radix2Domain<E::Fr>,
-    pub alpha: E::Fr,
-    pub beta: E::Fr,
-    pub gamma: E::Fr,
-    pub delta: E::Fr,
-    pub u: Vec<E::Fr>,
-    pub v: Vec<E::Fr>,
-    pub ic_scalars: Vec<E::Fr>,
-    pub l_scalars: Vec<E::Fr>,
-    pub h_scalars: Vec<E::Fr>,
-    pub num_public: usize,
-}
-
-pub(crate) fn setup_scalars<E: Engine, R: Rng + ?Sized>(
+/// Runs the Groth16 trusted setup with the key leaving through `sink`
+/// in chunks of `chunk_points` points — the one setup body, behind
+/// [`setup`] and the on-disk streamed zkey writer alike.
+///
+/// The key is emitted exactly as the resident key stores it (affine
+/// coordinates are canonical), so a key streamed to disk and read back
+/// equals the resident one byte for byte. Emission order: header, then
+/// the [`crate::G1_QUERIES`] in order, then the G2 query, then the fixed
+/// parts. Cancellation is checked before every chunk.
+///
+/// Returns the verification key (also embedded in the fixed parts).
+///
+/// # Errors
+///
+/// As [`setup`], plus [`SetupError::Sink`] when `sink` fails.
+pub fn setup_streamed<E: Engine, R: Rng + ?Sized, S: QuerySink<E>>(
     r1cs: &R1cs<E::Fr>,
     rng: &mut R,
-) -> Result<SetupScalars<E>, SetupError> {
+    chunk_points: usize,
+    sink: &mut S,
+) -> Result<VerifyingKey<E>, SetupError> {
+    let _g = trace::region_profile("setup");
     let domain =
         Radix2Domain::<E::Fr>::new(r1cs.num_constraints().max(2)).ok_or(
             SetupError::CircuitTooLarge {
@@ -133,6 +142,7 @@ pub(crate) fn setup_scalars<E: Engine, R: Rng + ?Sized>(
 
     // QAP evaluations at τ for every wire.
     let (u, v, w) = qap::evaluate_matrices_at(r1cs, &domain, tau);
+    let num_wires = r1cs.num_wires();
     let num_public = r1cs.num_public_wires();
 
     // Scalar batches for the group queries. Each batch is an
@@ -143,29 +153,22 @@ pub(crate) fn setup_scalars<E: Engine, R: Rng + ?Sized>(
     let use_pool = |n: usize| {
         !trace::is_active() && pool::current_threads() > 1 && n >= PAR_MIN_SCALARS
     };
+    let query_scalar = |i: usize, inv: E::Fr| (beta * u[i] + alpha * v[i] + w[i]) * inv;
     let ic_scalars: Vec<E::Fr> = if use_pool(num_public) {
         let mut out = vec![E::Fr::zero(); num_public];
-        pool::parallel_fill(&mut out, SCALAR_GRAIN, |i| {
-            (beta * u[i] + alpha * v[i] + w[i]) * gamma_inv
-        });
+        pool::parallel_fill(&mut out, SCALAR_GRAIN, |i| query_scalar(i, gamma_inv));
         out
     } else {
-        (0..num_public)
-            .map(|i| (beta * u[i] + alpha * v[i] + w[i]) * gamma_inv)
-            .collect()
+        (0..num_public).map(|i| query_scalar(i, gamma_inv)).collect()
     };
-    let l_scalars: Vec<E::Fr> = if use_pool(r1cs.num_wires() - num_public) {
-        let mut out = vec![E::Fr::zero(); r1cs.num_wires() - num_public];
-        pool::parallel_fill(&mut out, SCALAR_GRAIN, |j| {
-            let i = num_public + j;
-            (beta * u[i] + alpha * v[i] + w[i]) * delta_inv
-        });
+    let l_scalars: Vec<E::Fr> = if use_pool(num_wires - num_public) {
+        let mut out = vec![E::Fr::zero(); num_wires - num_public];
+        pool::parallel_fill(&mut out, SCALAR_GRAIN, |j| query_scalar(num_public + j, delta_inv));
         out
     } else {
-        (num_public..r1cs.num_wires())
-            .map(|i| (beta * u[i] + alpha * v[i] + w[i]) * delta_inv)
-            .collect()
+        (num_public..num_wires).map(|i| query_scalar(i, delta_inv)).collect()
     };
+    drop(w);
     let z_tau = domain.eval_vanishing(tau);
     let mut h_scalars;
     if use_pool(domain.size()) {
@@ -190,111 +193,65 @@ pub(crate) fn setup_scalars<E: Engine, R: Rng + ?Sized>(
         return Err(SetupError::Cancelled);
     }
 
-    Ok(SetupScalars {
-        domain,
-        alpha,
-        beta,
-        gamma,
-        delta,
-        u,
-        v,
-        ic_scalars,
-        l_scalars,
-        h_scalars,
-        num_public,
-    })
-}
+    let chunk_points = chunk_points.max(1);
+    sink.begin(&StreamHeader {
+        num_wires,
+        num_public_wires: num_public,
+        domain_size: domain.size(),
+        chunk_points,
+    })?;
 
-/// The in-memory group-operation phase of [`setup`]: one concatenated
-/// fixed-base batch per group.
-fn build_key_monolithic<E: Engine>(
-    r1cs: &R1cs<E::Fr>,
-    scalars: SetupScalars<E>,
-) -> Result<ProvingKey<E>, SetupError> {
-    let SetupScalars {
-        domain,
-        alpha,
-        beta,
-        gamma,
-        delta,
-        u,
-        v,
-        ic_scalars,
-        l_scalars,
-        h_scalars,
-        num_public,
-    } = scalars;
-
-    // One fixed-base window table per generator, each built once and
-    // shared by every tau-power query vector. All G1 scalars ride a single
-    // `mul_batch` pass (likewise for G2), so the window tables — and the
-    // batch inversions inside the pass — amortize across the whole key,
-    // and the table width is tuned to the combined batch size.
-    let num_wires = r1cs.num_wires();
-    let total_g1 =
-        2 * num_wires + ic_scalars.len() + l_scalars.len() + h_scalars.len() + 3;
-    let mut g1_scalars = Vec::with_capacity(total_g1);
-    g1_scalars.extend_from_slice(&u);
-    g1_scalars.extend_from_slice(&v);
-    g1_scalars.extend_from_slice(&ic_scalars);
-    g1_scalars.extend_from_slice(&l_scalars);
-    g1_scalars.extend_from_slice(&h_scalars);
-    g1_scalars.extend_from_slice(&[alpha, beta, delta]);
-    let mut g2_scalars = Vec::with_capacity(num_wires + 3);
-    g2_scalars.extend_from_slice(&v);
-    g2_scalars.extend_from_slice(&[beta, gamma, delta]);
-
-    // Size each window table by the scalars that actually cost work: the
-    // QAP matrices are sparse, so (especially for G2, whose field ops are
+    // One fixed-base window table per generator, built once and shared by
+    // every query. Each table is sized by the scalars that actually cost
+    // work ([α, β, δ] and [β, γ, δ] are nonzero by construction): the QAP
+    // matrices are sparse, so (especially for G2, whose field ops are
     // several times pricier) the nonzero count can be orders of magnitude
     // below the batch length, and a table tuned to the raw length would
-    // cost more to build than it saves.
-    let nonzero = |s: &[E::Fr]| s.iter().filter(|v| !v.is_zero()).count();
-    let t1 = FixedBaseTable::for_batch(&Projective::<E::G1>::generator(), nonzero(&g1_scalars));
-    let t2 = FixedBaseTable::for_batch(&Projective::<E::G2>::generator(), nonzero(&g2_scalars));
+    // cost more to build than it saves. Widths only affect speed — affine
+    // values are identical at any width.
+    let nonzero = |s: &[E::Fr]| s.iter().filter(|x| !x.is_zero()).count();
+    let g1_nonzero = nonzero(&u)
+        + nonzero(&v)
+        + nonzero(&ic_scalars)
+        + nonzero(&l_scalars)
+        + nonzero(&h_scalars)
+        + 3;
+    let g2_nonzero = nonzero(&v) + 3;
+    let t1 = FixedBaseTable::for_batch(&Projective::<E::G1>::generator(), g1_nonzero);
+    let t2 = FixedBaseTable::for_batch(&Projective::<E::G2>::generator(), g2_nonzero);
 
-    let g1_points = t1.mul_batch(&g1_scalars);
-    // The batch ends with [alpha, beta, delta] by construction.
-    let alpha_g1 = g1_points[g1_points.len() - 3];
-    let beta_g1 = g1_points[g1_points.len() - 2];
-    let delta_g1 = g1_points[g1_points.len() - 1];
-    let mut g1_points = g1_points.into_iter();
-    let a_query: Vec<_> = g1_points.by_ref().take(num_wires).collect();
-    let b_g1_query: Vec<_> = g1_points.by_ref().take(num_wires).collect();
-    let ic: Vec<_> = g1_points.by_ref().take(num_public).collect();
-    let l_query: Vec<_> = g1_points.by_ref().take(r1cs.num_wires() - num_public).collect();
-    let h_query: Vec<_> = g1_points.take(domain.size()).collect();
-
-    if pool::cancellation_pending() {
-        return Err(SetupError::Cancelled);
+    for (q, scalars) in [
+        (G1Query::A, &u),
+        (G1Query::BG1, &v),
+        (G1Query::L, &l_scalars),
+        (G1Query::H, &h_scalars),
+    ] {
+        for chunk in scalars.chunks(chunk_points) {
+            if pool::cancellation_pending() {
+                return Err(SetupError::Cancelled);
+            }
+            sink.g1_chunk(q, &t1.mul_batch(chunk))?;
+        }
+    }
+    for chunk in v.chunks(chunk_points) {
+        if pool::cancellation_pending() {
+            return Err(SetupError::Cancelled);
+        }
+        sink.g2_chunk(&t2.mul_batch(chunk))?;
     }
 
-    let g2_points = t2.mul_batch(&g2_scalars);
-    // Likewise [beta, gamma, delta] close the G2 batch.
-    let beta_g2 = g2_points[g2_points.len() - 3];
-    let gamma_g2 = g2_points[g2_points.len() - 2];
-    let delta_g2 = g2_points[g2_points.len() - 1];
-    let b_g2_query: Vec<_> = g2_points.into_iter().take(num_wires).collect();
-
+    let g1_fixed = t1.mul_batch(&[alpha, beta, delta]);
+    let g2_fixed = t2.mul_batch(&[beta, gamma, delta]);
     let vk = VerifyingKey {
-        alpha_g1,
-        beta_g2,
-        gamma_g2,
-        delta_g2,
-        ic,
+        alpha_g1: g1_fixed[0],
+        beta_g2: g2_fixed[0],
+        gamma_g2: g2_fixed[1],
+        delta_g2: g2_fixed[2],
+        ic: t1.mul_batch(&ic_scalars),
     };
-    Ok(ProvingKey {
-        vk,
-        beta_g1,
-        delta_g1,
-        a_query,
-        b_g1_query,
-        b_g2_query,
-        l_query,
-        h_query,
-        domain_size: domain.size(),
-        num_public_wires: num_public,
-    })
+    let fixed = FixedParts { beta_g1: g1_fixed[1], delta_g1: g1_fixed[2], vk: vk.clone() };
+    sink.finish(&fixed)?;
+    Ok(vk)
 }
 
 #[cfg(test)]

@@ -1,45 +1,48 @@
-//! Out-of-core key handling: the streaming faces of `setup` and `prove`.
+//! Chunked key transport: the one shape in which Groth16 setup emits and
+//! prove consumes the proving key.
 //!
 //! The proving key's query vectors are the prover's memory wall — at
-//! 2^20 constraints they are hundreds of megabytes of affine points that
-//! the in-memory path keeps fully resident. This module inverts that:
-//! key material moves as fixed-size chunks between a [`QuerySink`]
-//! (setup's output) and a [`QuerySource`] (prove's input), so the only
-//! resident state is one chunk plus the scalar-side vectors.
+//! 2^20 constraints they are hundreds of megabytes of affine points. Key
+//! material therefore always moves as chunks: [`crate::setup_streamed`]
+//! writes every query through a [`QuerySink`], and
+//! [`crate::prove_streamed`] reads every query from a [`QuerySource`]
+//! into the chunked MSM engine (`zkperf_ec::msm_stream`). There is one
+//! setup body and one prove body; what varies is the transport and the
+//! chunk size:
+//!
+//! * In memory, [`crate::setup`] streams into a [`MemorySink`] and
+//!   [`crate::prove`] reads a resident key through [`ChunkedKey`], which
+//!   lends slices of the key without copying. Unbudgeted, every query is
+//!   one chunk. Under `ZKPERF_MEM_BUDGET` the chunk size per group comes
+//!   from `zkperf_ec::tuning::stream_chunk_points`, which bounds the
+//!   fixed-base and GLV/limb transients to one chunk's worth.
+//! * On disk, `zkperf-io`'s streamed zkey writer and reader implement the
+//!   same traits over the checksummed v2 container format, so the key is
+//!   never resident in full.
 //!
 //! The traits live here (not in `zkperf-io`) because `zkperf-io` already
-//! depends on this crate; its streamed zkey reader/writer implement them
-//! over the checksummed v2 container format, while [`MemorySink`] and
-//! [`ChunkedKey`] implement them over resident memory — the latter is
-//! what the `ZKPERF_MEM_BUDGET` gates in [`crate::setup`] /
-//! [`crate::prove`] route through.
+//! depends on this crate.
 //!
 //! # Determinism
 //!
-//! Budgeted and unbudgeted paths produce byte-identical artifacts:
+//! Every transport and chunk size produces byte-identical artifacts:
 //!
-//! * Scalar generation is shared code ([`crate::setup`]'s scalar phase),
-//!   so RNG draws and field values match exactly.
+//! * The chunk size never touches the RNG or the scalar side, so RNG draws
+//!   and field values match exactly.
 //! * Fixed-base multiplication results are affine points, and the affine
-//!   representative of a group element is unique — batching does not
+//!   representative of a group element is unique — chunking does not
 //!   change bytes.
-//! * The streaming MSM folds per-chunk window sums into the same group
-//!   element the monolithic kernel computes, and proofs normalize through
+//! * The MSM engine folds per-chunk window sums into the same group
+//!   element at any chunking, and proofs normalize through
 //!   `batch_to_affine` before serialization.
 
-use rand::Rng;
+use std::borrow::Cow;
 
-use zkperf_circuit::{R1cs, Witness};
-use zkperf_ec::{msm, msm_stream, tuning, Affine, CurveParams, Engine, FixedBaseTable, Projective};
-use zkperf_ff::Field;
-use zkperf_poly::Radix2Domain;
+use zkperf_ec::{tuning, Affine, CurveParams, Engine};
 use zkperf_pool as pool;
 use zkperf_trace as trace;
 
-use crate::key::{Proof, ProvingKey, VerifyingKey};
-use crate::prove::ProveError;
-use crate::qap;
-use crate::setup::{setup_scalars, SetupError, SetupScalars};
+use crate::key::{ProvingKey, VerifyingKey};
 
 /// A failure in the chunk transport (disk, checksum, truncation) as
 /// opposed to the proving math. Carries the byte offset of the failing
@@ -142,13 +145,18 @@ pub struct FixedParts<E: Engine> {
     pub vk: VerifyingKey<E>,
 }
 
-/// A fallible chunk iterator over one G1 query.
-pub type G1Chunks<'a, E> =
-    Box<dyn Iterator<Item = Result<Vec<Affine<<E as Engine>::G1>>, StreamError>> + 'a>;
+/// A fallible chunk iterator over one G1 query. Resident sources lend
+/// their slices (`Cow::Borrowed`); sources that decode from a file hand
+/// out owned chunks.
+pub type G1Chunks<'a, E> = Box<
+    dyn Iterator<Item = Result<Cow<'a, [Affine<<E as Engine>::G1>]>, StreamError>> + 'a,
+>;
 
-/// A fallible chunk iterator over the G2 query.
-pub type G2Chunks<'a, E> =
-    Box<dyn Iterator<Item = Result<Vec<Affine<<E as Engine>::G2>>, StreamError>> + 'a>;
+/// A fallible chunk iterator over the G2 query, with the same borrowing
+/// convention as [`G1Chunks`].
+pub type G2Chunks<'a, E> = Box<
+    dyn Iterator<Item = Result<Cow<'a, [Affine<<E as Engine>::G2>]>, StreamError>> + 'a,
+>;
 
 /// Read side of a chunked proving key. Implemented by the in-memory
 /// [`ChunkedKey`] and by `zkperf-io`'s streamed zkey reader.
@@ -176,332 +184,48 @@ pub trait QuerySink<E: Engine> {
     fn finish(&mut self, fixed: &FixedParts<E>) -> Result<(), StreamError>;
 }
 
-/// Derives the chunk size (points per chunk) for a query of G1/G2 points
-/// from the active memory budget; `None` when unbudgeted or when the
-/// whole query fits one chunk anyway (so streaming would be pure
-/// overhead). Instrumented runs never chunk: the characterization suite
-/// pins the in-memory op stream.
-fn budget_chunk<C: CurveParams>(n: usize) -> Option<usize> {
+/// Points per chunk for a query of `C` points under the active memory
+/// budget: `usize::MAX` (every query is one chunk) when unbudgeted or when
+/// a trace session is live, since instrumented runs pin the unchunked op
+/// stream.
+pub(crate) fn budget_chunk<C: CurveParams>() -> usize {
     if trace::is_active() {
-        return None;
+        return usize::MAX;
     }
-    let budget = pool::mem::budget()?;
-    let chunk = tuning::stream_chunk_points(
-        budget,
-        std::mem::size_of::<Affine<C>>(),
-        std::mem::size_of::<C::Scalar>(),
-    );
-    (chunk < n).then_some(chunk)
+    pool::mem::budget().map_or(usize::MAX, |budget| {
+        tuning::stream_chunk_points(
+            budget,
+            std::mem::size_of::<Affine<C>>(),
+            std::mem::size_of::<C::Scalar>(),
+        )
+    })
 }
 
-/// `msm` with the budget gate: unbudgeted (or small) inputs take the
-/// resident kernel, budgeted ones stream the bases chunk by chunk —
-/// bounding the GLV/limb transient tables to one chunk's worth — and the
-/// two produce the same group element.
-pub(crate) fn msm_budgeted<C: CurveParams>(
-    bases: &[Affine<C>],
-    scalars: &[C::Scalar],
-) -> Projective<C> {
-    match budget_chunk::<C>(bases.len()) {
-        Some(chunk) => {
-            let folded: Result<_, std::convert::Infallible> = msm_stream(
-                bases.len(),
-                bases.chunks(chunk).map(Ok),
-                scalars,
-            );
-            match folded {
-                Ok(v) => v,
-                Err(e) => match e {},
-            }
-        }
-        None => msm(bases, scalars),
-    }
-}
-
-/// Errors from [`prove_streamed`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamProveError {
-    /// The proving math failed (same taxonomy as the resident prover).
-    Prove(ProveError),
-    /// The chunk transport failed.
-    Source(StreamError),
-}
-
-impl std::fmt::Display for StreamProveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamProveError::Prove(e) => e.fmt(f),
-            StreamProveError::Source(e) => write!(f, "streamed key source: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamProveError {}
-
-impl From<ProveError> for StreamProveError {
-    fn from(e: ProveError) -> StreamProveError {
-        StreamProveError::Prove(e)
-    }
-}
-
-impl From<StreamError> for StreamProveError {
-    fn from(e: StreamError) -> StreamProveError {
-        StreamProveError::Source(e)
-    }
-}
-
-/// Errors from [`setup_streamed`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamSetupError {
-    /// The setup math failed (same taxonomy as the resident setup).
-    Setup(SetupError),
-    /// The chunk transport failed.
-    Sink(StreamError),
-}
-
-impl std::fmt::Display for StreamSetupError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamSetupError::Setup(e) => e.fmt(f),
-            StreamSetupError::Sink(e) => write!(f, "streamed key sink: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamSetupError {}
-
-impl From<SetupError> for StreamSetupError {
-    fn from(e: SetupError) -> StreamSetupError {
-        StreamSetupError::Setup(e)
-    }
-}
-
-impl From<StreamError> for StreamSetupError {
-    fn from(e: StreamError) -> StreamSetupError {
-        StreamSetupError::Sink(e)
-    }
-}
-
-/// Runs the Groth16 trusted setup with the key leaving through `sink`
-/// chunk by chunk instead of materializing as a [`ProvingKey`].
-///
-/// Draws from `rng` in exactly the order [`crate::setup`] does and emits
-/// exactly the points it would store (affine coordinates are canonical),
-/// so a key streamed to disk and read back equals the resident one
-/// byte for byte. Emission order: header, then the [`G1_QUERIES`] in
-/// order, then the G2 query, then the fixed parts.
-///
-/// Returns the verification key (also embedded in the fixed parts).
-pub fn setup_streamed<E: Engine, R: Rng + ?Sized, S: QuerySink<E>>(
-    r1cs: &R1cs<E::Fr>,
-    rng: &mut R,
-    chunk_points: usize,
-    sink: &mut S,
-) -> Result<VerifyingKey<E>, StreamSetupError> {
-    let _g = trace::region_profile("setup");
-    let scalars = setup_scalars::<E, R>(r1cs, rng)?;
-    let SetupScalars {
-        domain,
-        alpha,
-        beta,
-        gamma,
-        delta,
-        u,
-        v,
-        ic_scalars,
-        l_scalars,
-        h_scalars,
-        num_public,
-    } = scalars;
-    let num_wires = r1cs.num_wires();
-    let chunk_points = chunk_points.max(1);
-
-    let header = StreamHeader {
-        num_wires,
-        num_public_wires: num_public,
-        domain_size: domain.size(),
-        chunk_points,
-    };
-    sink.begin(&header)?;
-
-    // Same table widths as the monolithic batch: the combined nonzero
-    // count per group ([α, β, δ] and [β, γ, δ] are nonzero by
-    // construction). Widths only affect speed — affine values are
-    // identical at any width — but keeping them equal keeps the two
-    // paths' cost profiles comparable.
-    let nonzero = |s: &[E::Fr]| s.iter().filter(|x| !x.is_zero()).count();
-    let g1_nonzero = nonzero(&u)
-        + nonzero(&v)
-        + nonzero(&ic_scalars)
-        + nonzero(&l_scalars)
-        + nonzero(&h_scalars)
-        + 3;
-    let g2_nonzero = nonzero(&v) + 3;
-    let t1 = FixedBaseTable::for_batch(&Projective::<E::G1>::generator(), g1_nonzero);
-    let t2 = FixedBaseTable::for_batch(&Projective::<E::G2>::generator(), g2_nonzero);
-
-    let emit_g1 = |sink: &mut S, q: G1Query, scalars: &[E::Fr]| -> Result<(), StreamSetupError> {
-        for chunk in scalars.chunks(chunk_points) {
-            if pool::cancellation_pending() {
-                return Err(SetupError::Cancelled.into());
-            }
-            sink.g1_chunk(q, &t1.mul_batch(chunk))?;
-        }
-        Ok(())
-    };
-    emit_g1(sink, G1Query::A, &u)?;
-    emit_g1(sink, G1Query::BG1, &v)?;
-    emit_g1(sink, G1Query::L, &l_scalars)?;
-    emit_g1(sink, G1Query::H, &h_scalars)?;
-
-    for chunk in v.chunks(chunk_points) {
-        if pool::cancellation_pending() {
-            return Err(SetupError::Cancelled.into());
-        }
-        sink.g2_chunk(&t2.mul_batch(chunk))?;
-    }
-
-    let ic = t1.mul_batch(&ic_scalars);
-    let g1_fixed = t1.mul_batch(&[alpha, beta, delta]);
-    let g2_fixed = t2.mul_batch(&[beta, gamma, delta]);
-    let vk = VerifyingKey {
-        alpha_g1: g1_fixed[0],
-        beta_g2: g2_fixed[0],
-        gamma_g2: g2_fixed[1],
-        delta_g2: g2_fixed[2],
-        ic,
-    };
-    let fixed = FixedParts { beta_g1: g1_fixed[1], delta_g1: g1_fixed[2], vk: vk.clone() };
-    sink.finish(&fixed)?;
-    Ok(vk)
-}
-
-/// The budgeted in-memory setup behind [`crate::setup`]'s
-/// `ZKPERF_MEM_BUDGET` gate: streams through a [`MemorySink`] with the
-/// chunk size derived from the budget, bounding the fixed-base transient
-/// working set to one chunk instead of the whole concatenated batch.
-pub(crate) fn setup_budgeted<E: Engine, R: Rng + ?Sized>(
-    r1cs: &R1cs<E::Fr>,
-    rng: &mut R,
-) -> Result<ProvingKey<E>, SetupError> {
-    let budget = pool::mem::budget().unwrap_or(u64::MAX);
-    let chunk = tuning::stream_chunk_points(
-        budget,
-        std::mem::size_of::<Affine<E::G1>>(),
-        std::mem::size_of::<E::Fr>(),
-    );
-    let mut sink = MemorySink::<E>::new();
-    match setup_streamed(r1cs, rng, chunk, &mut sink) {
-        Ok(_) => {}
-        Err(StreamSetupError::Setup(e)) => return Err(e),
-        // MemorySink never fails; treat the impossible as cancellation
-        // rather than panicking in a deny(unwrap) crate.
-        Err(StreamSetupError::Sink(_)) => return Err(SetupError::Cancelled),
-    }
-    sink.into_proving_key().ok_or(SetupError::Cancelled)
-}
-
-/// Produces a Groth16 proof with the key arriving through `src` chunk by
-/// chunk — the out-of-core prover. Byte-identical to [`crate::prove`] on
-/// the same key material and RNG stream: all five query MSMs run through
-/// the streaming fold, and the proof normalizes to affine form before
-/// leaving.
-pub fn prove_streamed<E: Engine, S: QuerySource<E>, R: Rng + ?Sized>(
-    src: &S,
-    r1cs: &R1cs<E::Fr>,
-    witness: &Witness<E::Fr>,
-    rng: &mut R,
-) -> Result<Proof<E>, StreamProveError> {
-    let _g = trace::region_profile("prove");
-    let header = src.header();
-    let w = witness.full();
-    if w.len() != header.num_wires {
-        return Err(ProveError::WitnessLengthMismatch {
-            expected: header.num_wires,
-            got: w.len(),
-        }
-        .into());
-    }
-    if r1cs.num_wires() != w.len() {
-        return Err(ProveError::WitnessLengthMismatch {
-            expected: r1cs.num_wires(),
-            got: w.len(),
-        }
-        .into());
-    }
-    if header.num_public_wires > w.len() {
-        return Err(ProveError::MalformedKey("public wires exceed witness length").into());
-    }
-    let domain = Radix2Domain::<E::Fr>::new(header.domain_size).ok_or(
-        ProveError::InvalidDomain { size: header.domain_size },
-    )?;
-    if domain.size() < r1cs.num_constraints() {
-        return Err(ProveError::DomainTooSmall {
-            domain: domain.size(),
-            constraints: r1cs.num_constraints(),
-        }
-        .into());
-    }
-
-    if pool::cancellation_pending() {
-        return Err(ProveError::Cancelled.into());
-    }
-
-    let (a_ev, b_ev, c_ev) = qap::evaluate_constraints(r1cs, &domain, w);
-    let h = qap::compute_h_coefficients(&domain, a_ev, b_ev, c_ev);
-
-    if pool::cancellation_pending() {
-        return Err(ProveError::Cancelled.into());
-    }
-
-    let (r, s) = (E::Fr::random(rng), E::Fr::random(rng));
-    let fixed = src.fixed()?;
-
-    let g1 = |q: G1Query, scalars: &[E::Fr]| -> Result<Projective<E::G1>, StreamError> {
-        msm_stream(header.g1_len(q), src.g1_chunks(q), scalars)
-    };
-    let g_a = fixed.vk.alpha_g1.to_projective()
-        + g1(G1Query::A, w)?
-        + fixed.delta_g1.to_projective() * r;
-    let g_b = fixed.vk.beta_g2.to_projective()
-        + msm_stream(header.g2_len(), src.g2_chunks(), w)?
-        + fixed.vk.delta_g2.to_projective() * s;
-    let g_b1 = fixed.beta_g1.to_projective()
-        + g1(G1Query::BG1, w)?
-        + fixed.delta_g1.to_projective() * s;
-
-    if pool::cancellation_pending() {
-        return Err(ProveError::Cancelled.into());
-    }
-
-    let priv_witness = &w[header.num_public_wires..];
-    let l_part = g1(G1Query::L, priv_witness)?;
-    let h_part = g1(G1Query::H, &h)?;
-    let g_c = l_part
-        + h_part
-        + g_a * s
-        + g_b1 * r
-        + (fixed.delta_g1.to_projective() * (r * s)).neg();
-
-    let out = [g_a, g_c];
-    let affine = Projective::batch_to_affine(&out);
-    trace::alloc(std::mem::size_of::<Proof<E>>());
-    Ok(Proof { a: affine[0], b: g_b.to_affine(), c: affine[1] })
-}
-
-/// [`QuerySource`] over a resident [`ProvingKey`]: serves slices of the
-/// key's own vectors as chunks (no copies beyond the per-chunk `Vec` the
-/// iterator contract requires are made — slices are wrapped, not cloned).
+/// [`QuerySource`] over a resident [`ProvingKey`]: lends slices of the
+/// key's own vectors as chunks (`Cow::Borrowed` — wrapped, not cloned).
 pub struct ChunkedKey<'a, E: Engine> {
     key: &'a ProvingKey<E>,
-    chunk_points: usize,
+    g1_chunk: usize,
+    g2_chunk: usize,
 }
 
 impl<'a, E: Engine> ChunkedKey<'a, E> {
     /// Wraps `key`, splitting every query into `chunk_points`-sized
     /// chunks.
     pub fn new(key: &'a ProvingKey<E>, chunk_points: usize) -> ChunkedKey<'a, E> {
-        ChunkedKey { key, chunk_points: chunk_points.max(1) }
+        let chunk = chunk_points.max(1);
+        ChunkedKey { key, g1_chunk: chunk, g2_chunk: chunk }
+    }
+
+    /// Wraps `key` the way [`crate::prove`] reads it: each query is one
+    /// chunk, or, under a memory budget, the per-group chunk size the
+    /// budget allows.
+    pub(crate) fn resident(key: &'a ProvingKey<E>) -> ChunkedKey<'a, E> {
+        ChunkedKey {
+            key,
+            g1_chunk: budget_chunk::<E::G1>(),
+            g2_chunk: budget_chunk::<E::G2>(),
+        }
     }
 
     fn g1_query(&self, q: G1Query) -> &'a [Affine<E::G1>] {
@@ -520,7 +244,7 @@ impl<E: Engine> QuerySource<E> for ChunkedKey<'_, E> {
             num_wires: self.key.a_query.len(),
             num_public_wires: self.key.num_public_wires,
             domain_size: self.key.domain_size,
-            chunk_points: self.chunk_points,
+            chunk_points: self.g1_chunk,
         }
     }
 
@@ -533,17 +257,16 @@ impl<E: Engine> QuerySource<E> for ChunkedKey<'_, E> {
     }
 
     fn g1_chunks(&self, q: G1Query) -> G1Chunks<'_, E> {
-        Box::new(self.g1_query(q).chunks(self.chunk_points).map(|c| Ok(c.to_vec())))
+        Box::new(self.g1_query(q).chunks(self.g1_chunk).map(|c| Ok(Cow::Borrowed(c))))
     }
 
     fn g2_chunks(&self) -> G2Chunks<'_, E> {
-        Box::new(self.key.b_g2_query.chunks(self.chunk_points).map(|c| Ok(c.to_vec())))
+        Box::new(self.key.b_g2_query.chunks(self.g2_chunk).map(|c| Ok(Cow::Borrowed(c))))
     }
 }
 
 /// [`QuerySink`] that reassembles the chunks into a resident
-/// [`ProvingKey`] — the budgeted in-memory setup path, and the reference
-/// sink for differential tests.
+/// [`ProvingKey`] — the sink behind [`crate::setup`].
 pub struct MemorySink<E: Engine> {
     header: Option<StreamHeader>,
     a: Vec<Affine<E::G1>>,
@@ -596,26 +319,24 @@ impl<E: Engine> Default for MemorySink<E> {
 impl<E: Engine> QuerySink<E> for MemorySink<E> {
     fn begin(&mut self, header: &StreamHeader) -> Result<(), StreamError> {
         self.header = Some(*header);
-        self.a.reserve_exact(header.g1_len(G1Query::A));
-        self.b_g1.reserve_exact(header.g1_len(G1Query::BG1));
-        self.l.reserve_exact(header.g1_len(G1Query::L));
-        self.h.reserve_exact(header.g1_len(G1Query::H));
-        self.b_g2.reserve_exact(header.g2_len());
         Ok(())
     }
 
     fn g1_chunk(&mut self, q: G1Query, pts: &[Affine<E::G1>]) -> Result<(), StreamError> {
-        match q {
-            G1Query::A => self.a.extend_from_slice(pts),
-            G1Query::BG1 => self.b_g1.extend_from_slice(pts),
-            G1Query::L => self.l.extend_from_slice(pts),
-            G1Query::H => self.h.extend_from_slice(pts),
-        }
+        let len = self.header.map_or(0, |h| h.g1_len(q));
+        let query = match q {
+            G1Query::A => &mut self.a,
+            G1Query::BG1 => &mut self.b_g1,
+            G1Query::L => &mut self.l,
+            G1Query::H => &mut self.h,
+        };
+        append(query, len, pts);
         Ok(())
     }
 
     fn g2_chunk(&mut self, pts: &[Affine<E::G2>]) -> Result<(), StreamError> {
-        self.b_g2.extend_from_slice(pts);
+        let len = self.header.map_or(0, |h| h.g2_len());
+        append(&mut self.b_g2, len, pts);
         Ok(())
     }
 
@@ -625,24 +346,64 @@ impl<E: Engine> QuerySink<E> for MemorySink<E> {
     }
 }
 
+/// Appends a chunk to a query of `len` points, sizing it exactly on its
+/// first chunk. Reserving per query rather than in `begin` keeps the
+/// queries setup has not reached yet out of its peak working set.
+fn append<T: Clone>(query: &mut Vec<T>, len: usize, pts: &[T]) {
+    if query.is_empty() {
+        query.reserve_exact(len);
+    }
+    query.extend_from_slice(pts);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prove::prove;
-    use crate::setup::setup;
-    use crate::verify::verify;
+    use crate::key::Proof;
+    use crate::{prove, prove_streamed, qap, setup, setup_streamed, verify, ProveError, SetupError};
+    use rand::Rng;
     use zkperf_circuit::library::exponentiate;
-    use zkperf_ec::Bn254;
+    use zkperf_circuit::Witness;
+    use zkperf_ec::{msm_naive, Bn254, Projective};
     use zkperf_ff::bn254::Fr;
     use zkperf_ff::Field;
+    use zkperf_poly::Radix2Domain;
     use zkperf_pool::mem;
 
-    fn fixture() -> (zkperf_circuit::Circuit<Fr>, ProvingKey<Bn254>, Witness<Fr>) {
-        let circuit = exponentiate::<Fr>(40);
+    fn fixture(n: usize) -> (zkperf_circuit::Circuit<Fr>, ProvingKey<Bn254>, Witness<Fr>) {
+        let circuit = exponentiate::<Fr>(n);
         let mut rng = zkperf_ff::test_rng();
         let pk = setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
         let w = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
         (circuit, pk, w)
+    }
+
+    /// The proof `prove` must produce, computed with double-and-add MSMs
+    /// over the whole resident query vectors and the same RNG draws.
+    fn reference_proof<R: Rng>(
+        pk: &ProvingKey<Bn254>,
+        circuit: &zkperf_circuit::Circuit<Fr>,
+        witness: &Witness<Fr>,
+        rng: &mut R,
+    ) -> Proof<Bn254> {
+        let w = witness.full();
+        let domain = Radix2Domain::<Fr>::new(pk.domain_size).unwrap();
+        let (a, b, c) = qap::evaluate_constraints(circuit.r1cs(), &domain, w);
+        let h = qap::compute_h_coefficients(&domain, a, b, c);
+        let (r, s) = (Fr::random(rng), Fr::random(rng));
+        let delta = pk.delta_g1.to_projective();
+        let g_a = pk.vk.alpha_g1.to_projective() + msm_naive(&pk.a_query, w) + delta * r;
+        let g_b = pk.vk.beta_g2.to_projective()
+            + msm_naive(&pk.b_g2_query, w)
+            + pk.vk.delta_g2.to_projective() * s;
+        let g_b1 = pk.beta_g1.to_projective() + msm_naive(&pk.b_g1_query, w) + delta * s;
+        let g_c = msm_naive(&pk.l_query, &w[pk.num_public_wires..])
+            + msm_naive(&pk.h_query, &h)
+            + g_a * s
+            + g_b1 * r
+            + (delta * (r * s)).neg();
+        let affine = Projective::batch_to_affine(&[g_a, g_c]);
+        Proof { a: affine[0], b: g_b.to_affine(), c: affine[1] }
     }
 
     #[test]
@@ -663,30 +424,54 @@ mod tests {
 
     #[test]
     fn streamed_prove_reproduces_resident_proof() {
-        let (circuit, pk, w) = fixture();
+        let (circuit, pk, w) = fixture(40);
         let mut rng = zkperf_ff::test_rng();
-        let reference = prove(&pk, circuit.r1cs(), &w, &mut rng).unwrap();
-        for chunk in [1usize, 13, 1 << 20] {
+        let reference = reference_proof(&pk, &circuit, &w, &mut rng);
+        assert!(verify::<Bn254>(&pk.vk, &reference, w.public()).unwrap());
+        let mut rng = zkperf_ff::test_rng();
+        assert_eq!(prove(&pk, circuit.r1cs(), &w, &mut rng).unwrap(), reference);
+        for chunk in [1usize, 13, pk.a_query.len()] {
             let mut rng = zkperf_ff::test_rng();
             let src = ChunkedKey::new(&pk, chunk);
             let streamed =
                 prove_streamed(&src, circuit.r1cs(), &w, &mut rng).unwrap();
             assert_eq!(streamed, reference, "chunk = {chunk}");
         }
-        assert!(verify::<Bn254>(&pk.vk, &reference, w.public()).unwrap());
+    }
+
+    #[test]
+    fn resident_source_lends_slices() {
+        let (_, pk, _) = fixture(40);
+        for src in [ChunkedKey::new(&pk, 13), ChunkedKey::resident(&pk)] {
+            for q in G1_QUERIES {
+                let mut points = 0;
+                for chunk in src.g1_chunks(q) {
+                    let chunk = chunk.unwrap();
+                    assert!(matches!(chunk, Cow::Borrowed(_)), "{q:?} chunk was copied");
+                    points += chunk.len();
+                }
+                assert_eq!(points, src.header().g1_len(q), "{q:?}");
+            }
+            for chunk in src.g2_chunks() {
+                assert!(matches!(chunk.unwrap(), Cow::Borrowed(_)), "G2 chunk was copied");
+            }
+        }
     }
 
     #[test]
     fn budget_gate_keeps_setup_and_prove_byte_identical() {
-        let (circuit, _, w) = fixture();
+        // 700 constraints: every query spans several 256-point chunks, the
+        // smallest chunk the budget planner hands out.
+        let (circuit, _, w) = fixture(700);
         mem::set_budget(None);
         let mut rng = zkperf_ff::test_rng();
         let pk = setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
         let mut rng = zkperf_ff::test_rng();
-        let reference = prove(&pk, circuit.r1cs(), &w, &mut rng).unwrap();
+        let reference = reference_proof(&pk, &circuit, &w, &mut rng);
 
         // Absurdly small budget: both stages must chunk and still match.
         mem::set_budget(Some(1));
+        assert!(budget_chunk::<<Bn254 as Engine>::G1>() < pk.a_query.len());
         let mut rng = zkperf_ff::test_rng();
         let pk_budgeted = setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
         let mut rng = zkperf_ff::test_rng();
@@ -695,6 +480,21 @@ mod tests {
 
         assert_eq!(pk_budgeted, pk);
         assert_eq!(proof_budgeted, reference);
+    }
+
+    fn checksum_failure() -> StreamError {
+        StreamError {
+            path: Some("pk.zkey".into()),
+            offset: Some(4096),
+            detail: "section checksum mismatch".into(),
+        }
+    }
+
+    fn assert_located(e: &StreamError) {
+        assert_eq!(e.offset, Some(4096));
+        let msg = e.to_string();
+        assert!(msg.contains("pk.zkey"), "{msg}");
+        assert!(msg.contains("byte offset 4096"), "{msg}");
     }
 
     #[test]
@@ -709,11 +509,7 @@ mod tests {
             }
             fn g1_chunks(&self, q: G1Query) -> G1Chunks<'_, Bn254> {
                 if matches!(q, G1Query::H) {
-                    Box::new(std::iter::once(Err(StreamError {
-                        path: Some("pk.zkey".into()),
-                        offset: Some(4096),
-                        detail: "section checksum mismatch".into(),
-                    })))
+                    Box::new(std::iter::once(Err(checksum_failure())))
                 } else {
                     self.0.g1_chunks(q)
                 }
@@ -722,18 +518,49 @@ mod tests {
                 self.0.g2_chunks()
             }
         }
-        let (circuit, pk, w) = fixture();
+        let (circuit, pk, w) = fixture(40);
         let src = FailingSource(ChunkedKey::new(&pk, 8));
         let mut rng = zkperf_ff::test_rng();
-        let err = prove_streamed(&src, circuit.r1cs(), &w, &mut rng).unwrap_err();
-        match err {
-            StreamProveError::Source(e) => {
-                assert_eq!(e.offset, Some(4096));
-                let msg = e.to_string();
-                assert!(msg.contains("pk.zkey"), "{msg}");
-                assert!(msg.contains("byte offset 4096"), "{msg}");
-            }
+        match prove_streamed(&src, circuit.r1cs(), &w, &mut rng).unwrap_err() {
+            ProveError::Source(e) => assert_located(&e),
             other => panic!("expected Source error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sink_errors_propagate_with_location() {
+        /// Accepts the header and the A query, then fails on the first
+        /// chunk of any other query.
+        struct FailingSink(MemorySink<Bn254>);
+        type G1 = <Bn254 as Engine>::G1;
+        type G2 = <Bn254 as Engine>::G2;
+        impl QuerySink<Bn254> for FailingSink {
+            fn begin(&mut self, header: &StreamHeader) -> Result<(), StreamError> {
+                self.0.begin(header)
+            }
+            fn g1_chunk(&mut self, q: G1Query, pts: &[Affine<G1>]) -> Result<(), StreamError> {
+                match q {
+                    G1Query::A => self.0.g1_chunk(q, pts),
+                    _ => Err(checksum_failure()),
+                }
+            }
+            fn g2_chunk(&mut self, _: &[Affine<G2>]) -> Result<(), StreamError> {
+                Err(checksum_failure())
+            }
+            fn finish(&mut self, fixed: &FixedParts<Bn254>) -> Result<(), StreamError> {
+                self.0.finish(fixed)
+            }
+        }
+        let circuit = exponentiate::<Fr>(40);
+        for chunk in [7usize, 1 << 20] {
+            let mut sink = FailingSink(MemorySink::new());
+            let mut rng = zkperf_ff::test_rng();
+            match setup_streamed(circuit.r1cs(), &mut rng, chunk, &mut sink).unwrap_err() {
+                SetupError::Sink(e) => assert_located(&e),
+                other => panic!("expected Sink error, got {other:?}"),
+            }
+            // The sink never saw `finish`, so it holds no key.
+            assert!(sink.0.into_proving_key().is_none());
         }
     }
 }

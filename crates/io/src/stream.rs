@@ -23,6 +23,7 @@
 //! typed artifact error pointing at the exact section — never a panic or
 //! a silent truncation.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fs;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -593,12 +594,12 @@ where
 
     fn g1_chunks(&self, q: G1Query) -> G1Chunks<'_, E> {
         let n = self.header.chunks_of(self.header.g1_len(q));
-        Box::new((0..n).map(move |i| self.g1_chunk(q, i)))
+        Box::new((0..n).map(move |i| self.g1_chunk(q, i).map(Cow::Owned)))
     }
 
     fn g2_chunks(&self) -> G2Chunks<'_, E> {
         let n = self.header.chunks_of(self.header.g2_len());
-        Box::new((0..n).map(move |i| self.g2_chunk(i)))
+        Box::new((0..n).map(move |i| self.g2_chunk(i).map(Cow::Owned)))
     }
 }
 

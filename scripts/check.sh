@@ -65,9 +65,12 @@ fi
 
 # The out-of-core proving pipeline must be invisible in the artifacts:
 # budgeted setup/prove, the streamed .zkey file, and N-thread streaming
-# must all produce the bytes the in-memory path produces. The stream
-# oracles pin msm_stream folding, budgeted setup/prove, thread-count
-# bit-identity, and the on-disk roundtrip against in-memory references.
+# must all produce the bytes of the unbudgeted run. The in-memory path is
+# now the one-chunk case of that same pipeline, so these oracles compare
+# chunkings of one engine against each other (msm_stream folding,
+# budgeted setup/prove, thread-count bit-identity, the on-disk
+# roundtrip); the reference across commits is the CRC32 pin of the key
+# and proof bytes in tests/thread_determinism.rs.
 echo "==> fuzz_lite stream tier"
 if ! ./target/release/fuzz_lite --only stream --iters 12; then
     echo "fuzz_lite found streaming divergences; paste a replay line from above" >&2
