@@ -26,40 +26,19 @@ pub const PARTIAL_ROUNDS: usize = 56;
 /// Deriving them costs a few hundred field inversions and `BigUint`
 /// reductions — irrelevant per circuit build, but the STARK backend calls
 /// `poseidon_hash2` once per Merkle tree node, where rederivation would
-/// dominate the hash itself. The registry below builds them once per field
-/// type and serves a leaked static thereafter (same shape as the tower
-/// Frobenius-coefficient cache in `zkperf-ff`).
+/// dominate the hash itself. `zkperf-ff`'s constant registry builds them
+/// once per field type, outside any trace session, and serves a leaked
+/// static thereafter.
 struct PoseidonConstants<F: PrimeField> {
     round_constants: Vec<[F; T]>,
     mds: [[F; T]; T],
 }
 
 fn constants<F: PrimeField>() -> &'static PoseidonConstants<F> {
-    use std::any::{Any, TypeId};
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    type Registry = Mutex<HashMap<TypeId, &'static (dyn Any + Send + Sync)>>;
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = TypeId::of::<F>();
-    let lock = || registry.lock().expect("poseidon constants registry poisoned");
-    if let Some(cached) = lock().get(&key) {
-        return cached
-            .downcast_ref::<PoseidonConstants<F>>()
-            .expect("registry entries are keyed by field type");
-    }
-    // Built outside the lock (the build recurses into field arithmetic); a
-    // race at first use builds twice and keeps one.
-    let built: &'static PoseidonConstants<F> = Box::leak(Box::new(PoseidonConstants {
+    zkperf_ff::get_or_build::<F, PoseidonConstants<F>>(|| PoseidonConstants {
         round_constants: round_constants::<F>(),
         mds: mds_matrix::<F>(),
-    }));
-    let mut guard = lock();
-    guard
-        .entry(key)
-        .or_insert(built as &'static (dyn Any + Send + Sync))
-        .downcast_ref::<PoseidonConstants<F>>()
-        .expect("just inserted with this type")
+    })
 }
 
 fn round_constants<F: PrimeField>() -> Vec<[F; T]> {

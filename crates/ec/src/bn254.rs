@@ -4,11 +4,10 @@ use std::sync::OnceLock;
 
 use zkperf_ff::bn254::{Fq, Fq12, Fq12Params, Fq2, Fq2Params, Fq6, Fq6Params, Fr, BN_X};
 use zkperf_ff::{BigUint, Field, Frobenius, PrimeField};
+use zkperf_trace as trace;
 
 use crate::curve::{Affine, CurveParams, Projective};
-use crate::pairing::{
-    final_exponentiation, hard_exponent, line_and_add, miller_loop, ExtPoint,
-};
+use crate::pairing::{hard_exponent, line_and_add, miller_loop, ExtPoint};
 use crate::pairing_fast::{self, G2Prepared, TwistType};
 
 /// Marker for the BN254 G1 group (`y² = x³ + 3` over `Fq`).
@@ -28,14 +27,7 @@ impl CurveParams for G1Params {
     fn glv_params() -> Option<&'static crate::glv::GlvParams<Self>> {
         static CELL: std::sync::OnceLock<Option<crate::glv::GlvParams<G1Params>>> =
             std::sync::OnceLock::new();
-        CELL.get_or_init(|| {
-            // Escape hatch for A/B benchmarking and debugging.
-            if std::env::var("ZKPERF_NO_GLV").is_ok_and(|v| v == "1") {
-                return None;
-            }
-            crate::glv::derive::<G1Params>()
-        })
-        .as_ref()
+        CELL.get_or_init(|| trace::untraced(crate::glv::derive::<G1Params>)).as_ref()
     }
 }
 
@@ -138,16 +130,18 @@ fn ate_digits() -> &'static [i8] {
 fn twist_frob_coeffs() -> &'static (Fq2, Fq2) {
     static CELL: OnceLock<(Fq2, Fq2)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let qm1 = Fq::modulus()
-            .checked_sub(&BigUint::one())
-            .expect("q >= 1");
-        let exp = |d: u64| {
-            let (e, rem) = qm1.divrem_u64(d);
-            assert_eq!(rem, 0, "q - 1 not divisible by {d}");
-            e
-        };
-        let xi = zkperf_ff::bn254::xi();
-        (xi.pow(&exp(3)), xi.pow(&exp(2)))
+        trace::untraced(|| {
+            let qm1 = Fq::modulus()
+                .checked_sub(&BigUint::one())
+                .expect("q >= 1");
+            let exp = |d: u64| {
+                let (e, rem) = qm1.divrem_u64(d);
+                assert_eq!(rem, 0, "q - 1 not divisible by {d}");
+                e
+            };
+            let xi = zkperf_ff::bn254::xi();
+            (xi.pow(&exp(3)), xi.pow(&exp(2)))
+        })
     })
 }
 
@@ -180,24 +174,18 @@ fn eval_prepared(p: &G1Affine, coeffs: &[[Fq2; 3]]) -> Fq12 {
 
 /// Precomputes the Miller-loop line coefficients of a fixed G2 point so
 /// that pairings against it reduce to sparse multiplications.
-///
-/// When the fast path is gated off (`ZKPERF_NO_FAST_PAIRING=1` or an
-/// active trace session) no lines are computed and pairings fall back to
-/// the untwisted reference through the retained affine point.
 pub fn prepare_g2(q: &G2Affine) -> G2Prepared<G2Params> {
-    let coeffs = if pairing_fast::fast_pairing_enabled() && !q.infinity {
-        Some(ate_coeffs(q))
-    } else {
-        None
-    };
-    G2Prepared { q: *q, coeffs }
+    G2Prepared {
+        coeffs: if q.infinity { Vec::new() } else { ate_coeffs(q) },
+    }
 }
 
 /// Final exponentiation via the Frobenius decomposition of the hard part
 /// and cyclotomic x-power chains — three exponentiations by the BN
 /// parameter instead of a full 2790-bit square-and-multiply. Agrees
-/// bit-for-bit with [`final_exponentiation`].
+/// bit-for-bit with [`crate::pairing::final_exponentiation`].
 pub fn final_exponentiation_fast(f: Fq12) -> Gt {
+    let _g = trace::region_profile("final_exp");
     // Easy part, identical to the reference: f^(q⁶−1)(q²+1).
     let f1 = f.conjugate() * f.inverse().expect("pairing value non-zero");
     let r = f1.frobenius(2) * f1;
@@ -223,24 +211,14 @@ pub fn final_exponentiation_fast(f: Fq12) -> Gt {
         * r.frobenius(3)
 }
 
-fn pairing_fast_path(p: &G1Affine, q: &G2Affine) -> Gt {
+/// The full optimal-ate pairing `e(P, Q)` on the twisted projective
+/// fast path; bit-identical to the untwisted reference
+/// `final_exponentiation(miller(p, q), …)`.
+pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
     if p.infinity || q.infinity {
         return Fq12::one();
     }
     final_exponentiation_fast(eval_prepared(p, &ate_coeffs(q)))
-}
-
-/// The full optimal-ate pairing `e(P, Q)`.
-///
-/// Runs the twisted projective fast path unless gated off via
-/// `ZKPERF_NO_FAST_PAIRING=1` or an active trace session, in which case
-/// the untwisted serial reference runs; both produce bit-identical values.
-pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
-    if pairing_fast::fast_pairing_enabled() {
-        pairing_fast_path(p, q)
-    } else {
-        final_exponentiation(miller(p, q), &pairing_hard_exponent())
-    }
 }
 
 /// `e(P₁,Q₁)·…·e(Pₙ,Qₙ)` with a single shared final exponentiation.
@@ -249,54 +227,32 @@ pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
 /// lengths, the longer one is truncated to the shorter and the extra
 /// entries are ignored.
 pub fn multi_pairing(ps: &[G1Affine], qs: &[G2Affine]) -> Gt {
-    if pairing_fast::fast_pairing_enabled() {
-        let mut f = Fq12::one();
-        for (p, q) in ps.iter().zip(qs) {
-            if p.infinity || q.infinity {
-                continue;
-            }
+    let mut f = Fq12::one();
+    for (p, q) in ps.iter().zip(qs) {
+        if !p.infinity && !q.infinity {
             f *= eval_prepared(p, &ate_coeffs(q));
         }
-        final_exponentiation_fast(f)
-    } else {
-        let mut f = Fq12::one();
-        for (p, q) in ps.iter().zip(qs) {
-            f *= miller(p, q);
-        }
-        final_exponentiation(f, &pairing_hard_exponent())
     }
+    final_exponentiation_fast(f)
 }
 
 /// [`multi_pairing`] over points prepared with [`prepare_g2`], skipping
 /// the per-pairing line computation entirely. Follows the same truncation
-/// contract for mismatched lengths, and falls back to the untwisted
-/// reference whenever the fast path is gated off — prepared points carry
-/// their affine original for exactly that purpose.
+/// contract for mismatched lengths.
 pub fn multi_pairing_prepared(ps: &[G1Affine], qs: &[&G2Prepared<G2Params>]) -> Gt {
-    if pairing_fast::fast_pairing_enabled() {
-        let mut f = Fq12::one();
-        for (p, prep) in ps.iter().zip(qs) {
-            if p.infinity || prep.q.infinity {
-                continue;
-            }
-            match &prep.coeffs {
-                Some(coeffs) => f *= eval_prepared(p, coeffs),
-                None => f *= eval_prepared(p, &ate_coeffs(&prep.q)),
-            }
+    let mut f = Fq12::one();
+    for (p, prep) in ps.iter().zip(qs) {
+        if !p.infinity && !prep.coeffs.is_empty() {
+            f *= eval_prepared(p, &prep.coeffs);
         }
-        final_exponentiation_fast(f)
-    } else {
-        let mut f = Fq12::one();
-        for (p, prep) in ps.iter().zip(qs) {
-            f *= miller(p, &prep.q);
-        }
-        final_exponentiation(f, &pairing_hard_exponent())
     }
+    final_exponentiation_fast(f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pairing::final_exponentiation;
 
     #[test]
     fn generators_are_on_curve_and_in_subgroup() {
@@ -389,13 +345,13 @@ mod tests {
         for (a, b) in [(1u64, 1u64), (127, 911), (5, 7)] {
             let p = (g1 * Fr::from_u64(a)).to_affine();
             let q = (g2 * Fr::from_u64(b)).to_affine();
-            let fast = pairing_fast_path(&p, &q);
+            let fast = pairing(&p, &q);
             let reference = final_exponentiation(miller(&p, &q), &pairing_hard_exponent());
             assert_eq!(fast, reference);
         }
         // Identity inputs agree too.
         assert_eq!(
-            pairing_fast_path(&G1Affine::identity(), &G2Affine::generator()),
+            pairing(&G1Affine::identity(), &G2Affine::generator()),
             final_exponentiation(
                 miller(&G1Affine::identity(), &G2Affine::generator()),
                 &pairing_hard_exponent()

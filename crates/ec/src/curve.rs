@@ -30,7 +30,8 @@ pub trait CurveParams:
     /// keeps every scalar kernel on the generic path.
     ///
     /// Implementations derive the parameters once per process via
-    /// [`crate::glv::derive`] and must return `None` rather than
+    /// [`crate::glv::derive`], outside any trace session
+    /// (`zkperf_trace::untraced`), and must return `None` rather than
     /// unverified constants.
     fn glv_params() -> Option<&'static crate::glv::GlvParams<Self>> {
         None
@@ -318,14 +319,9 @@ impl<C: CurveParams> Projective<C> {
         if exp.is_zero() {
             return Self::identity();
         }
-        // Instrumented runs stay on the generic window loop: the
-        // characterization suite pins that op stream, and the lazy GLV
-        // parameter derivation must not execute inside a traced region.
-        if !trace::is_active() {
-            if let Some(glv) = C::glv_params() {
-                if exp < &C::Scalar::modulus() {
-                    return self.mul_windowed_glv(glv, exp);
-                }
+        if let Some(glv) = C::glv_params() {
+            if exp < &C::Scalar::modulus() {
+                return self.mul_windowed_glv(glv, exp);
             }
         }
         let _g = trace::region_profile("scalar_mul");

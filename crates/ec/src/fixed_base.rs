@@ -201,9 +201,9 @@ impl<C: CurveParams> FixedBaseTable<C> {
     ///
     /// Works in chunks of `batch_chunk_len` scalars, each collapsed by
     /// `mul_chunk`. Chunks are fully independent (private gather
-    /// buffers, disjoint `out` ranges), so uninstrumented multi-thread runs
-    /// hand them to the pool and everything else walks them in a plain
-    /// loop; each chunk computes the same bits either way.
+    /// buffers, disjoint `out` ranges), so multi-thread runs hand them to
+    /// the pool and single-thread runs walk them in a plain loop; each
+    /// chunk computes the same bits either way.
     pub fn mul_batch(&self, scalars: &[C::Scalar]) -> Vec<Affine<C>> {
         let _g = trace::region_profile("fixed_base_msm");
         let mut out = vec![Affine::identity(); scalars.len()];
@@ -211,7 +211,7 @@ impl<C: CurveParams> FixedBaseTable<C> {
         let chunk = |ci: usize, out: &mut [Affine<C>]| {
             self.mul_chunk(&scalars[ci * len..][..out.len()], out)
         };
-        if !trace::is_active() && pool::current_threads() > 1 && scalars.len() > len {
+        if pool::current_threads() > 1 && scalars.len() > len {
             pool::parallel_chunks_mut(&mut out, len, chunk);
         } else {
             for (ci, out) in out.chunks_mut(len).enumerate() {

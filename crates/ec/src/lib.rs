@@ -45,4 +45,4 @@ pub use engine::{Bls12_381, Bn254, Engine};
 pub use fixed_base::FixedBaseTable;
 pub use glv::{DecomposedScalar, GlvParams, SignedHalf};
 pub use msm::{msm, msm_naive, msm_stream};
-pub use pairing_fast::{fast_pairing_enabled, G2Prepared, TwistType};
+pub use pairing_fast::{G2Prepared, TwistType};

@@ -27,8 +27,7 @@
 //!   instead of ~11 for a Jacobian mixed addition.
 //! * **Cache-aware window choice.** The width comes from the shared
 //!   Pippenger cost model ([`crate::tuning`]) parameterized by the host's
-//!   measured L2/LLC geometry, so the live bucket array stays in cache;
-//!   `ZKPERF_MSM_WINDOW` pins it for reproducing fixed configurations.
+//!   measured L2/LLC geometry, so the live bucket array stays in cache.
 //!
 //! Scalars are written once into one flat limb buffer
 //! ([`PrimeField::write_canonical_limbs`] or the GLV half-magnitudes), and
@@ -121,10 +120,7 @@ pub fn msm<C: CurveParams>(bases: &[Affine<C>], scalars: &[C::Scalar]) -> Projec
 /// per-window partial sums, which are folded into a running per-window
 /// accumulator; one final window combine finishes the job. Scalars are
 /// consumed positionally: chunk `k` pairs with the next `chunk.len()`
-/// scalars. Instrumented runs (a live `zkperf-trace` session) take the
-/// plain full-width route on the calling thread, so the characterization
-/// suite sees one fixed op stream and the one-time GLV parameter
-/// derivation never lands inside a traced region.
+/// scalars.
 ///
 /// Determinism contract: for a fixed chunk sequence the result is
 /// bit-identical (including the projective representative) at any thread
@@ -152,8 +148,7 @@ where
     if n == 0 {
         return Ok(Projective::identity());
     }
-    let traced = trace::is_active();
-    let glv = if traced { None } else { C::glv_params() };
+    let glv = C::glv_params();
     // Window geometry fixed once from the total problem size.
     let (total_bits, c) = match glv {
         Some(g) => (g.half_bits(), window_bits::<C>(2 * n, g.half_bits())),
@@ -177,7 +172,7 @@ where
             continue;
         }
         let scs = &scalars[offset..offset + take];
-        let use_pool = !traced && pool::current_threads() > 1 && take >= PAR_MIN_MSM;
+        let use_pool = pool::current_threads() > 1 && take >= PAR_MIN_MSM;
         let sums = window_sums(&pts[..take], scs, glv, total_bits, c, use_pool);
         for (a, s) in acc.iter_mut().zip(sums) {
             *a += s;

@@ -15,14 +15,13 @@
 //! subsequent pairing against that point pays just the sparse
 //! multiplications — the production trick behind prepared verifying keys.
 //!
-//! Gating follows the GLV precedent: `ZKPERF_NO_FAST_PAIRING=1` or an
-//! active trace session routes every pairing back to the untwisted serial
-//! reference, so instrumented op streams are unchanged by this module.
-//! Both paths produce bit-identical `Gt` outputs — the Miller values
-//! differ by subfield factors that the final exponentiation kills, and the
-//! testkit pins the post-exponentiation equality differentially.
-
-use std::sync::OnceLock;
+//! Every pairing entry point runs this engine; the untwisted reference in
+//! [`crate::pairing`] stays as the oracle it is pinned against. Both
+//! produce bit-identical `Gt` outputs — the Miller values differ by
+//! subfield factors that the final exponentiation kills, and the testkit
+//! pins the post-exponentiation equality differentially. Line preparation
+//! and evaluation record into the `miller_loop` trace region, the fast
+//! final exponentiations into `final_exp`, as the reference does.
 
 use zkperf_ff::{CubicExt, CubicExtParams, Field, QuadExt, QuadExtParams};
 use zkperf_trace as trace;
@@ -40,28 +39,14 @@ pub enum TwistType {
     M,
 }
 
-/// True when the twisted fast path may run: not disabled via
-/// `ZKPERF_NO_FAST_PAIRING=1` and no trace session is live (instrumented
-/// runs must keep the reference op stream).
-pub fn fast_pairing_enabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    let disabled = *DISABLED
-        .get_or_init(|| std::env::var("ZKPERF_NO_FAST_PAIRING").is_ok_and(|v| v == "1"));
-    !disabled && !trace::is_active()
-}
-
 /// A G2 point with its full Miller-loop line-coefficient sequence
 /// precomputed.
 ///
-/// `coeffs` is `None` when the point was prepared while the fast path was
-/// gated off (or for the identity); consumers fall back to the reference
-/// Miller loop through the retained affine point.
+/// `coeffs` is empty for the identity, whose pairings are all one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct G2Prepared<C: CurveParams> {
-    /// The original affine point (reference fallback and identity checks).
-    pub q: Affine<C>,
-    /// Line-coefficient triples in loop order, when precomputed.
-    pub coeffs: Option<Vec<[C::Base; 3]>>,
+    /// Line-coefficient triples in loop order.
+    pub coeffs: Vec<[C::Base; 3]>,
 }
 
 /// A twist point in homogeneous projective coordinates `(X : Y : Z)`
@@ -167,6 +152,7 @@ pub(crate) fn prepare_coeffs<C: CurveParams>(
     digits: &[i8],
     corrections: &[(C::Base, C::Base)],
 ) -> Vec<[C::Base; 3]> {
+    let _g = trace::region_profile("miller_loop");
     let two_inv = C::Base::from_u64(2)
         .inverse()
         .expect("field characteristic is odd");
@@ -231,6 +217,7 @@ where
     P6: CubicExtParams<Base = QuadExt<PF2>>,
     P12: QuadExtParams<Base = CubicExt<P6>>,
 {
+    let _g = trace::region_profile("miller_loop");
     let mut f = QuadExt::<P12>::one();
     let mut it = coeffs.iter();
     for &digit in digits[..digits.len() - 1].iter().rev() {
@@ -276,15 +263,5 @@ mod tests {
             acc = 2 * acc + d as u128;
         }
         assert_eq!(acc, 0b1011_0100);
-    }
-
-    #[test]
-    fn fast_pairing_gate_respects_trace_sessions() {
-        // Outside any trace session the gate is env-controlled; inside one
-        // it must be closed regardless.
-        let _ = fast_pairing_enabled();
-        let session = zkperf_trace::Session::begin();
-        assert!(!fast_pairing_enabled());
-        let _ = session.finish();
     }
 }

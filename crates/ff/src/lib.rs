@@ -42,6 +42,7 @@ pub use batch::{batch_inverse, batch_inverse_with_scratch};
 pub use bigint::{BigUint, ParseBigIntError};
 pub use cubic::{CubicExt, CubicExtParams};
 pub use fp::{Fp, FpParams};
+pub use frob_cache::get_or_build;
 pub use goldilocks::Goldilocks;
 pub use quad::{QuadExt, QuadExtParams};
 pub use traits::{Field, Frobenius, PrimeField};

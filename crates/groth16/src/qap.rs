@@ -59,7 +59,7 @@ pub fn evaluate_constraints<F: PrimeField>(
     let rows = r1cs.constraints();
     // Each constraint row writes its own slot of a/b/c, so rows chunk
     // freely; a fixed grain keeps the decomposition thread-count-free.
-    if !trace::is_active() && pool::current_threads() > 1 && rows.len() >= PAR_MIN_ROWS {
+    if pool::current_threads() > 1 && rows.len() >= PAR_MIN_ROWS {
         let mut views: Vec<(&mut [F], &mut [F], &mut [F])> = a[..rows.len()]
             .chunks_mut(ROW_GRAIN)
             .zip(b[..rows.len()].chunks_mut(ROW_GRAIN))
@@ -109,7 +109,7 @@ pub fn compute_h_coefficients<F: PrimeField>(
     // polynomial never hits zero on the coset; the fallback can only
     // trigger on a violated invariant and keeps this path panic-free.
     let z_inv = z_on_coset.inverse().unwrap_or_else(F::one);
-    if !trace::is_active() && pool::current_threads() > 1 && domain.size() >= PAR_MIN_ROWS {
+    if pool::current_threads() > 1 && domain.size() >= PAR_MIN_ROWS {
         pool::parallel_chunks_mut(&mut a, ROW_GRAIN, |ci, chunk| {
             let base = ci * ROW_GRAIN;
             for (j, slot) in chunk.iter_mut().enumerate() {

@@ -146,13 +146,10 @@ pub fn setup_streamed<E: Engine, R: Rng + ?Sized, S: QuerySink<E>>(
     let num_public = r1cs.num_public_wires();
 
     // Scalar batches for the group queries. Each batch is an
-    // index-addressed map, so uninstrumented multi-thread runs build them
-    // on the pool; the h-power chain seeds each chunk with one
+    // index-addressed map, so multi-thread runs build them on the pool; the h-power chain seeds each chunk with one
     // exponentiation, making chunks independent while computing the exact
     // same field values as the serial prefix.
-    let use_pool = |n: usize| {
-        !trace::is_active() && pool::current_threads() > 1 && n >= PAR_MIN_SCALARS
-    };
+    let use_pool = |n: usize| pool::current_threads() > 1 && n >= PAR_MIN_SCALARS;
     let query_scalar = |i: usize, inv: E::Fr| (beta * u[i] + alpha * v[i] + w[i]) * inv;
     let ic_scalars: Vec<E::Fr> = if use_pool(num_public) {
         let mut out = vec![E::Fr::zero(); num_public];

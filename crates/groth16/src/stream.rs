@@ -40,7 +40,6 @@ use std::borrow::Cow;
 
 use zkperf_ec::{tuning, Affine, CurveParams, Engine};
 use zkperf_pool as pool;
-use zkperf_trace as trace;
 
 use crate::key::{ProvingKey, VerifyingKey};
 
@@ -185,13 +184,8 @@ pub trait QuerySink<E: Engine> {
 }
 
 /// Points per chunk for a query of `C` points under the active memory
-/// budget: `usize::MAX` (every query is one chunk) when unbudgeted or when
-/// a trace session is live, since instrumented runs pin the unchunked op
-/// stream.
+/// budget: `usize::MAX` (every query is one chunk) when unbudgeted.
 pub(crate) fn budget_chunk<C: CurveParams>() -> usize {
-    if trace::is_active() {
-        return usize::MAX;
-    }
     pool::mem::budget().map_or(usize::MAX, |budget| {
         tuning::stream_chunk_points(
             budget,

@@ -21,9 +21,9 @@ fn task_elems(n: usize) -> usize {
 /// the blocked four-step layout, whose row transforms read the cached
 /// tables of the two √n-sized sub-domains instead — precomputing a
 /// full-size table there would only burn memory. Domains between the two
-/// thresholds do not exist (the caps are adjacent); an instrumented
-/// (trace-active) large transform falls back to the flat pass with
-/// incremental twiddles.
+/// thresholds do not exist (the caps are adjacent); a large transform
+/// that a memory budget spills to the flat pass uses incremental
+/// twiddles.
 const MAX_CACHED_TWIDDLE_LOG: u32 = 17;
 
 /// Smallest `log₂(size)` routed through the cache-blocked four-step NTT.
@@ -267,12 +267,10 @@ impl<F: PrimeField> Radix2Domain<F> {
     }
 
     /// True when transforms should take the blocked four-step path: only
-    /// on domains large enough to have sub-domains, and never while a
-    /// trace session is live (the characterization suite pins the flat
-    /// serial op stream).
+    /// on domains large enough to have sub-domains, and only while the
+    /// memory budget leaves room for its scratch.
     fn use_four_step(&self) -> bool {
         self.four_step.is_some()
-            && !trace::is_active()
             && !spill_to_flat(self.log_size, self.size, std::mem::size_of::<F>(), pool::mem::budget())
     }
 
@@ -325,12 +323,11 @@ impl<F: PrimeField> Radix2Domain<F> {
         }
     }
 
-    /// True when this transform should fan out across the pool: never
-    /// while a trace session is live (the characterization suite must see
-    /// the serial op stream), never on a 1-thread pool, and never below
-    /// [`PAR_MIN_FFT_LOG`].
+    /// True when this transform should fan out across the pool: never on
+    /// a 1-thread pool (which a live trace session also reads as) and
+    /// never below [`PAR_MIN_FFT_LOG`].
     fn use_pool(n: usize) -> bool {
-        !trace::is_active() && pool::current_threads() > 1 && n >= (1 << PAR_MIN_FFT_LOG)
+        pool::current_threads() > 1 && n >= (1 << PAR_MIN_FFT_LOG)
     }
 
     /// Iterative decimation-in-time NTT (bit-reversal permutation followed

@@ -52,6 +52,15 @@
 //! own boundaries and surface a typed error — which keeps the
 //! deterministic-decomposition guarantee intact: a job either completes
 //! bit-identically or fails as a value, never half-writes.
+//!
+//! # Traced runs
+//!
+//! While the calling thread has a live `zkperf-trace` session,
+//! [`current_threads`] reads `1` and every parallel primitive runs inline
+//! on the caller. Kernels pick pool or loop from [`current_threads`]
+//! alone, so a traced run executes the shipped kernels with every event
+//! landing in the one session that observes them, and its counts do not
+//! depend on the pool size.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -464,8 +473,12 @@ pub fn chaos_checkpoint() {
 }
 
 /// Current target concurrency (including the calling thread). `1` means
-/// every parallel primitive degrades to a plain serial loop.
+/// every parallel primitive degrades to a plain serial loop; it is always
+/// `1` while this thread has a live trace session (see the crate docs).
 pub fn current_threads() -> usize {
+    if zkperf_trace::is_active() {
+        return 1;
+    }
     pool().threads.load(Ordering::Relaxed)
 }
 
@@ -516,8 +529,7 @@ pub fn parallel_for<F: Fn(usize) + Sync>(count: usize, task: F) {
     if count == 0 {
         return;
     }
-    let p = pool();
-    let threads = p.threads.load(Ordering::Relaxed);
+    let threads = current_threads();
     let chaos = local_chaos();
     if threads <= 1 || count == 1 {
         // Serial fast path: same semantics (including the ambient chaos
@@ -529,6 +541,7 @@ pub fn parallel_for<F: Fn(usize) + Sync>(count: usize, task: F) {
         }
         return;
     }
+    let p = pool();
 
     // Erase the closure's lifetime so workers can hold the pointer.
     //
@@ -872,6 +885,21 @@ mod tests {
             for (i, item) in items.iter().enumerate() {
                 assert_eq!(item, &vec![i as u32, i as u32 * 2]);
             }
+        });
+    }
+
+    #[test]
+    fn traced_callers_run_every_task_inline() {
+        with_threads(4, || {
+            let session = zkperf_trace::Session::begin();
+            assert_eq!(current_threads(), 1);
+            let caller = std::thread::current().id();
+            parallel_for(64, |_| {
+                assert_eq!(std::thread::current().id(), caller);
+                zkperf_trace::compute(1);
+            });
+            assert_eq!(session.finish().counts.compute_uops, 64);
+            assert_eq!(current_threads(), 4, "the pool size is untouched");
         });
     }
 }

@@ -41,7 +41,7 @@ pub use region::{function_id, function_name, FunctionId};
 pub use sink::{EventSink, NullSink};
 pub use tracer::{
     alloc, branch, compute, control, data_move, enter, exit, is_active, load, memcpy,
-    region_profile, store, RegionGuard, RegionProfile, Session, SessionReport,
+    region_profile, store, untraced, RegionGuard, RegionProfile, Session, SessionReport,
 };
 
 /// Classes of retired micro-operations, mirroring the paper's code analysis

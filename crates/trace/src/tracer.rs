@@ -108,6 +108,35 @@ pub fn is_active() -> bool {
     LIVE_SESSIONS.load(Ordering::Relaxed) != 0 && ACTIVE.with(|a| a.get())
 }
 
+/// Runs `f` with this thread's session paused: no event inside `f` is
+/// recorded, and [`is_active`] reads `false` until it returns.
+///
+/// For one-time lazy builds of process-wide constants (Frobenius
+/// coefficients, GLV parameters, hash round constants). Whichever traced
+/// measurement happens to run first would otherwise pay for them, so a
+/// stage's counts would depend on what ran before it in the process. The
+/// session resumes when `f` returns or unwinds.
+///
+/// # Examples
+///
+/// ```
+/// use zkperf_trace as trace;
+/// let session = trace::Session::begin();
+/// trace::compute(1);
+/// trace::untraced(|| trace::compute(100));
+/// assert_eq!(session.finish().counts.compute_uops, 1);
+/// ```
+pub fn untraced<R>(f: impl FnOnce() -> R) -> R {
+    struct Resume(bool);
+    impl Drop for Resume {
+        fn drop(&mut self) {
+            ACTIVE.with(|a| a.set(self.0));
+        }
+    }
+    let _resume = Resume(ACTIVE.with(|a| a.replace(false)));
+    f()
+}
+
 #[inline(always)]
 fn with_state(f: impl FnOnce(&mut State)) {
     if !is_active() {
@@ -569,6 +598,22 @@ mod tests {
         compute(2);
         let report = session.finish();
         assert_eq!(report.counts.compute_uops, 2);
+    }
+
+    #[test]
+    fn untraced_pauses_the_session_and_resumes_after_a_panic() {
+        let session = Session::begin();
+        compute(3);
+        untraced(|| {
+            assert!(!is_active());
+            compute(50);
+        });
+        assert!(is_active());
+        let unwound = std::panic::catch_unwind(|| untraced(|| panic!("build failed")));
+        assert!(unwound.is_err());
+        assert!(is_active(), "the session resumes when the closure unwinds");
+        compute(4);
+        assert_eq!(session.finish().counts.compute_uops, 7);
     }
 
     #[test]

@@ -17,6 +17,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A trace session observes the shipped kernels: no algorithm choice in
+# the kernel and backend crates may read the tracer. The pool's own
+# check (inline tasks while the caller is traced) is the only one; the
+# ff and circuit crates call it only to emit events.
+echo "==> no trace-gated algorithm choices"
+if grep -rn "trace::is_active()" crates/{ec,poly,groth16,plonk,stark}/src; then
+    echo "trace::is_active() found above: kernels must not branch on the tracer" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
@@ -26,9 +36,13 @@ cargo test -q --workspace --offline
 # Proofs and measurements must be byte-identical at any pool size, so the
 # determinism suites run twice: once serial, once on a 4-thread pool.
 # (Tests that need other counts call pool::set_threads explicitly.)
+# trace_cold_start checks that the first traced measurement in a fresh
+# process counts like the second.
 echo "==> determinism suites at ZKPERF_THREADS=1 and 4"
-ZKPERF_THREADS=1 cargo test -q --offline --test determinism --test thread_determinism
-ZKPERF_THREADS=4 cargo test -q --offline --test determinism --test thread_determinism
+ZKPERF_THREADS=1 cargo test -q --offline --test determinism --test thread_determinism \
+    --test trace_cold_start
+ZKPERF_THREADS=4 cargo test -q --offline --test determinism --test thread_determinism \
+    --test trace_cold_start
 
 # Fixed-seed differential fuzz smoke tier: every optimized kernel against
 # its slow in-tree reference plus the soundness-negative mutation audit.
